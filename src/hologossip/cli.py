@@ -72,11 +72,11 @@ def cmd_check(args) -> int:
     g = files.load_graph(args.graph)
     ws = files.load_weights(args.weights, g)
     report = check_holonomy(ws)
+    print(f"holonomic: {str(report.holonomic).lower()}")
+    print(f"holonomy margin: {report.margin:.3e}")
     if report.holonomic:
-        print("holonomic: true")
         return EXIT_OK
     w = report.witness
-    print("holonomic: false")
     print(f"witness cycle: {w.cycle}")
     print(f"cycle ratio: {_render_scalar(w.ratio)}")
     return EXIT_NEGATIVE
@@ -184,11 +184,14 @@ def cmd_verify(args) -> int:
     from . import acceptance
 
     wanted = None
-    if args.criteria:
-        wanted = {int(t) for t in args.criteria.replace(",", " ").split()}
+    if args.criteria is not None:
+        wanted = set(args.criteria.replace(",", " ").split())
+        if not wanted or not wanted <= {str(crit.number) for crit in acceptance.CRITERIA}:
+            raise FileFormatError(f"--criteria: {args.criteria!r} must name criteria "
+                                  f"in 1..{len(acceptance.CRITERIA)}")
     failures = 0
     for crit in acceptance.CRITERIA:
-        if wanted is not None and crit.number not in wanted:
+        if wanted is not None and str(crit.number) not in wanted:
             continue
         result = crit.fn()
         status = "PASS" if result.passed else "FAIL"

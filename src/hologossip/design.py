@@ -11,24 +11,21 @@ limit.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import NonInteriorVector, NotBalanced, ParameterOutOfRange, UnknownEdge
-from .graph import Graph, Walk, fundamental_cycles, spanning_tree
+from .graph import Graph, fundamental_cycle, spanning_tree
 from .limit import ProbabilityVector, _normalized
-from .weights import Scalar, WeightSet, ratio
+from .weights import Scalar, TreePotentials, WeightSet, is_exact, ratio
 
 #: Relative tolerance on cycle products of float ratio vectors.
 BALANCE_TOL = 1e-9
 
 #: Default margin keeping sampled box parameters away from 0 and 1.
 BOX_MARGIN = 1e-6
-
-
-def _is_exact(v) -> bool:
-    return isinstance(v, (Fraction, int)) and not isinstance(v, bool)
 
 
 class RatioVector:
@@ -49,7 +46,7 @@ class RatioVector:
                 y = 1 / y
             if e in store:
                 old = store[e]
-                clash = old != y if _is_exact(old) and _is_exact(y) else (
+                clash = old != y if is_exact(old) and is_exact(y) else (
                     abs(float(old) - float(y)) > 1e-12 * max(float(old), float(y))
                 )
                 if clash:
@@ -61,7 +58,7 @@ class RatioVector:
             raise UnknownEdge(f"no ratio for edges {sorted(missing)}")
         self.graph = graph
         self._y = store
-        self.exact = all(_is_exact(v) for v in store.values())
+        self.exact = all(is_exact(v) for v in store.values())
 
     def get(self, i: int, j: int) -> Scalar:
         e = self.graph.require_edge(i, j)
@@ -70,13 +67,6 @@ class RatioVector:
 
     def items(self):
         return [(e, self._y[e]) for e in self.graph.sorted_edges]
-
-    def walk_product(self, w) -> Scalar:
-        nodes = w.nodes if isinstance(w, Walk) else tuple(w)
-        value = Fraction(1) if self.exact else 1.0
-        for u, v in zip(nodes, nodes[1:]):
-            value = value * self.get(u, v)
-        return value
 
     def __eq__(self, other):
         return (
@@ -116,22 +106,23 @@ def distribution_ratios(p, g: Graph) -> RatioVector:
 def distribution_from_ratios(y: RatioVector) -> ProbabilityVector:
     """The unique positive unit-sum vector whose quotients equal ``y``.
 
-    Node potentials are products of ratios along breadth-first tree paths
-    from node 1, then normalized; balance makes the walk choice immaterial.
+    One :class:`hologossip.weights.TreePotentials` pass with ``y.get`` over
+    the breadth-first tree from node 1 checks balance and gives the node
+    potentials, then normalized; balance makes the tree choice immaterial.
 
     Raises:
         NotBalanced: when some fundamental cycle has product != 1 (exact
             for exact ratios, |Y - 1| <= BALANCE_TOL otherwise).
     """
-    g = y.graph
-    t = spanning_tree(g, root=1)
-    for cycle in fundamental_cycles(g, t):
-        prod = y.walk_product(cycle)
-        bad = prod != 1 if y.exact else abs(prod - 1.0) > BALANCE_TOL
-        if bad:
-            raise NotBalanced(f"cycle {cycle} has ratio product {prod}")
-    q = [y.walk_product(t.path(1, v)) for v in range(1, g.n + 1)]
-    return _normalized(q)
+    t = spanning_tree(y.graph, root=1)
+    pot = TreePotentials(t, y.get, y.exact)
+    failing, _ = pot.residuals(y.graph, BALANCE_TOL)
+    if failing is not None:
+        cycle = fundamental_cycle(t, *failing)
+        prod = math.prod((y.get(u, v) for u, v in cycle.steps()),
+                         start=Fraction(1) if y.exact else 1.0)
+        raise NotBalanced(f"cycle {cycle} has ratio product {prod}")
+    return _normalized(pot)
 
 
 class BoxPoint:
@@ -149,7 +140,7 @@ class BoxPoint:
             raise UnknownEdge(f"no box parameter for edges {sorted(missing)}")
         self.graph = graph
         self._x = store
-        self.exact = all(_is_exact(v) for v in store.values())
+        self.exact = all(is_exact(v) for v in store.values())
 
     @classmethod
     def from_sequence(cls, graph: Graph, values) -> "BoxPoint":

@@ -59,6 +59,10 @@ class NotHolonomic(HologossipError):
         self.witness = witness
 
 
+class UnrepresentableLimit(HologossipError):
+    """Raised when a float limit entry lies below the float64 range."""
+
+
 class NonInteriorVector(HologossipError):
     """Raised on a target vector with a nonpositive entry."""
 

@@ -95,23 +95,28 @@ def build_graph(n: int, edges: Iterable) -> Graph:
             raise DuplicateEdge(f"edge ({e[0]},{e[1]}) given more than once")
         seen.add(e)
     g = Graph(n=n, edges=frozenset(seen))
-    reached = _bfs_reach(g, 1)
+    reached = bfs_parents(1, g.neighbors)
     if len(reached) != n:
         missing = min(v for v in range(1, n + 1) if v not in reached)
         raise DisconnectedGraph(f"node {missing} unreachable from node 1")
     return g
 
 
-def _bfs_reach(g: Graph, start: int) -> set:
-    seen = {start}
-    queue = deque([start])
+def bfs_parents(root: int, neighbors) -> dict:
+    """Breadth-first parent pointers from ``root``, in visiting order.
+
+    ``neighbors(u)`` yields the nodes adjacent to u in the order to visit
+    them. The root maps to None; unreachable nodes are absent.
+    """
+    parent = {root: None}
+    queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v in g.neighbors(u):
-            if v not in seen:
-                seen.add(v)
+        for v in neighbors(u):
+            if v not in parent:
+                parent[v] = u
                 queue.append(v)
-    return seen
+    return parent
 
 
 @dataclass(frozen=True)
@@ -222,34 +227,16 @@ def spanning_tree(g: Graph, root: int = 1) -> SpanningTree:
     """
     if not (1 <= root <= g.n):
         raise InvalidNode(f"root {root} outside 1..{g.n}")
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in g.neighbors(u):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
+    parent = bfs_parents(root, g.neighbors)
     edges = frozenset(normalize_edge(v, p) for v, p in parent.items() if p is not None)
     return SpanningTree(root=root, parent=parent, edges=edges)
 
 
 def spanning_tree_from_edges(g: Graph, edges: Iterable, root: int = 1) -> SpanningTree:
     """Root the given spanning edge set at ``root`` via BFS over those edges."""
-    treeset = frozenset(normalize_edge(*e) for e in edges)
-    adj = {v: [] for v in range(1, g.n + 1)}
-    for i, j in treeset:
-        g.require_edge(i, j)
-        adj[i].append(j)
-        adj[j].append(i)
-    parent = {root: None}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in sorted(adj[u]):
-            if v not in parent:
-                parent[v] = u
-                queue.append(v)
+    treeset = frozenset(g.require_edge(*e) for e in edges)
+    parent = bfs_parents(root, lambda u: [v for v in g.neighbors(u)
+                                          if normalize_edge(u, v) in treeset])
     if len(parent) != g.n or len(treeset) != g.n - 1:
         raise DisconnectedGraph("edge set is not a spanning tree")
     return SpanningTree(root=root, parent=parent, edges=treeset)
@@ -274,20 +261,19 @@ def spanning_tree_containing(g: Graph, required: Iterable, root: int = 1) -> Spa
     return spanning_tree_from_edges(g, chosen, root=root)
 
 
+def fundamental_cycle(t: SpanningTree, i: int, j: int) -> Walk:
+    """The tree path i..j closed by the non-tree edge j-i."""
+    return Walk(t.path(i, j).nodes + (i,))
+
+
 def fundamental_cycles(g: Graph, t: SpanningTree) -> list:
-    """One closed walk per non-tree edge: the tree path i..j plus edge j-i.
+    """One closed walk per non-tree edge, in ascending edge order.
 
     Returns |E| - n + 1 closed walks; together with the multiplicativity of
     walk products over concatenation they determine the product over every
     cycle of the graph.
     """
-    cycles = []
-    for i, j in g.sorted_edges:
-        if (i, j) in t.edges:
-            continue
-        path = t.path(i, j)
-        cycles.append(Walk(path.nodes + (i,)))
-    return cycles
+    return [fundamental_cycle(t, i, j) for i, j in g.sorted_edges if (i, j) not in t.edges]
 
 
 class UnionFind:
@@ -401,18 +387,6 @@ def is_neighbor_shared(g: DirectedGraph) -> bool:
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True when every node is reachable from node 1 and node 1 from every node."""
-
-    def reach(neigh):
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for v in neigh(u):
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-    fwd = reach(lambda u: g.out_neighbors[u])
-    bwd = reach(lambda u: g.in_neighbors[u])
+    fwd = bfs_parents(1, g.out_neighbors.__getitem__)
+    bwd = bfs_parents(1, g.in_neighbors.__getitem__)
     return len(fwd) == g.n and len(bwd) == g.n

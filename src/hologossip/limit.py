@@ -1,23 +1,24 @@
 """Closed-form consensus limits and their certificates.
 
 For a cycle-balanced weight set the limit of any spanning gossip schedule
-is a unique positive probability vector. It is computed by assigning each
-node the product of directed ratios along a tree path from a base node and
-normalizing. Without cycle balance no single vector works, but every
-spanning tree still induces one; two trees extracted from a violated cycle
-give vectors that provably differ, which is the witness this module
-produces.
+is a unique positive probability vector: the normalized node potentials,
+each the product of directed ratios along a tree path from a base node. One
+O(n + m) pass (:class:`hologossip.weights.TreePotentials`) assigns every
+potential from its parent's. Without cycle balance no single vector works,
+but every spanning tree still induces one; two trees extracted from a
+violated cycle give vectors that provably differ, which is the witness this
+module produces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 from typing import Optional
 
-from .errors import NotHolonomic
+from .errors import NotHolonomic, UnrepresentableLimit
 from .graph import SpanningTree, normalize_edge, spanning_tree, spanning_tree_containing
-from .weights import WeightSet, check_holonomy, ratio, walk_ratio
+from .weights import TreePotentials, WeightSet, check_holonomy, is_exact, ratio
 
 #: Max per-entry deviation tolerated by float-mode vector checks.
 VECTOR_TOL = 1e-12
@@ -33,11 +34,7 @@ class ProbabilityVector:
         if not self.entries or any(v <= 0 for v in self.entries):
             raise ValueError("entries must be strictly positive")
         total = sum(self.entries)
-        exact = all(isinstance(v, (Fraction, int)) for v in self.entries)
-        if exact:
-            if total != 1:
-                raise ValueError(f"entries sum to {total}, not 1")
-        elif abs(total - 1.0) > VECTOR_TOL:
+        if total != 1 if self.exact else abs(total - 1.0) > VECTOR_TOL:
             raise ValueError(f"entries sum to {total}, not 1")
 
     def __len__(self):
@@ -48,7 +45,7 @@ class ProbabilityVector:
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(v, (Fraction, int)) for v in self.entries)
+        return all(map(is_exact, self.entries))
 
     def as_floats(self) -> tuple:
         return tuple(float(v) for v in self.entries)
@@ -62,17 +59,27 @@ class Potential:
     base: int
 
 
-def _normalized(values) -> ProbabilityVector:
+def _normalized(pot: TreePotentials) -> ProbabilityVector:
+    """Potentials over their sum; floats are first shifted, exactly, so the
+    largest is in [1, 2), which leaves every normal-float entry unchanged."""
+    values = pot.values(top=True)
     total = sum(values)
-    return ProbabilityVector(tuple(v / total for v in values))
+    entries = tuple(v / total for v in values)
+    bad = [k for k, v in enumerate(entries, 1) if not v > 0]  # underflow, or nan from inf
+    if bad:
+        raise UnrepresentableLimit(f"limit entry {bad[0]} is outside the float64 range")
+    return ProbabilityVector(entries)
 
 
 def consensus_limit(ws: WeightSet, base: int = 1):
     """Limit distribution of any spanning schedule for a balanced weight set.
 
-    Node potentials are products of directed ratios along the breadth-first
-    tree paths from ``base``; the normalized potentials form the limit. The
-    result is independent of ``base``.
+    After :func:`hologossip.weights.check_holonomy`, one
+    :class:`hologossip.weights.TreePotentials` pass over the breadth-first
+    tree from ``base`` gives each node the product of directed ratios along
+    its tree path from ``base``. The normalized potentials form the limit,
+    independent of ``base``; O(n + m) in all. Float potentials past float64
+    read inf or 0 in the Potential.
 
     Returns:
         (Potential, ProbabilityVector)
@@ -81,6 +88,7 @@ def consensus_limit(ws: WeightSet, base: int = 1):
         NotHolonomic: when the weight set is not cycle-balanced (the limit
             would depend on the schedule; use :func:`tree_vector` for the
             vector attached to one spanning tree).
+        UnrepresentableLimit: when a float limit entry falls outside float64.
     """
     report = check_holonomy(ws)
     if not report.holonomic:
@@ -90,30 +98,19 @@ def consensus_limit(ws: WeightSet, base: int = 1):
             witness=w,
         )
     t = spanning_tree(ws.graph, root=base)
-    q = tuple(walk_ratio(ws, t.path(base, v)) for v in range(1, ws.graph.n + 1))
-    return Potential(q, base), _normalized(q)
+    pot = TreePotentials(t, partial(ratio, ws), ws.exact)
+    return Potential(pot.values(), base), _normalized(pot)
 
 
 def tree_vector(ws: WeightSet, t: SpanningTree) -> ProbabilityVector:
     """Probability vector fixed by the local matrices of the tree edges.
 
-    Defined for every weight set: restricted to a tree there are no cycles
-    to balance. For a cycle-balanced set every spanning tree yields the
-    same vector as :func:`consensus_limit`.
+    The normalized potentials of one :class:`hologossip.weights.TreePotentials`
+    pass over ``t`` from its root. Defined for every weight set: restricted
+    to a tree there are no cycles to balance. For a cycle-balanced set every
+    spanning tree yields the same vector as :func:`consensus_limit`.
     """
-    q = {t.root: ws.one()}
-    stack = [t.root]
-    adj = {v: [] for v in t.parent}
-    for i, j in t.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    while stack:
-        u = stack.pop()
-        for v in sorted(adj[u]):
-            if v not in q:
-                q[v] = q[u] * ratio(ws, u, v)
-                stack.append(v)
-    return _normalized([q[v] for v in range(1, ws.graph.n + 1)])
+    return _normalized(TreePotentials(t, partial(ratio, ws), ws.exact))
 
 
 def verify_left_eigenvector(ws: WeightSet, p, tol: Optional[float] = None) -> bool:
@@ -128,11 +125,7 @@ def verify_left_eigenvector(ws: WeightSet, p, tol: Optional[float] = None) -> bo
     entries = p.entries if isinstance(p, ProbabilityVector) else tuple(p)
     if len(entries) != ws.graph.n:
         raise ValueError(f"vector has {len(entries)} entries for {ws.graph.n} nodes")
-    exact = (
-        tol is None
-        and ws.exact
-        and all(isinstance(v, (Fraction, int)) for v in entries)
-    )
+    exact = tol is None and ws.exact and all(map(is_exact, entries))
     limit = VECTOR_TOL if tol is None else tol
     for i, j in ws.graph.sorted_edges:
         dev = entries[i - 1] * ws.weight(i, j) - entries[j - 1] * ws.weight(j, i)

@@ -10,12 +10,14 @@ sets fall back to a relative tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from functools import partial
+from typing import Callable, Optional, Union
 
 from .errors import InvalidWalk, MixedScalarKinds, UnknownEdge, WeightOutOfRange
-from .graph import Graph, Walk, fundamental_cycles, spanning_tree
+from .graph import Graph, SpanningTree, Walk, fundamental_cycle, spanning_tree
 
 Scalar = Union[Fraction, float]
 
@@ -24,7 +26,7 @@ Scalar = Union[Fraction, float]
 HOLONOMY_TOL = 1e-9
 
 
-def _is_exact(v) -> bool:
+def is_exact(v) -> bool:
     return isinstance(v, (Fraction, int)) and not isinstance(v, bool)
 
 
@@ -61,7 +63,7 @@ class WeightSet:
             for v in (a, b):
                 if not (0 < v < 1):
                     raise WeightOutOfRange(f"weight {v} on edge {e} outside (0,1)")
-                kinds.add("exact" if _is_exact(v) else "float")
+                kinds.add("exact" if is_exact(v) else "float")
             store[e] = EdgeWeights(a, b)
         missing = set(graph.edges) - set(store)
         if missing:
@@ -130,7 +132,8 @@ def local_matrix(ws: WeightSet, edge):
 
 def ratio(ws: WeightSet, i: int, j: int) -> Scalar:
     """Directed ratio a_ij / a_ji; reciprocal under orientation swap."""
-    return ws.weight(i, j) / ws.weight(j, i)
+    w = ws.pair((i, j))
+    return w.a_ij / w.a_ji if i < j else w.a_ji / w.a_ij
 
 
 def walk_ratio(ws: WeightSet, w) -> Scalar:
@@ -148,6 +151,71 @@ def walk_ratio(ws: WeightSet, w) -> Scalar:
     return value
 
 
+class TreePotentials:
+    """Node potentials over one spanning tree, each computed once, from its parent's.
+
+    q_root = 1 and q_v = q_parent(v) * rfn(parent(v), v): the ratios of the
+    root-to-v tree walk, multiplied in walk order as walking it would. A
+    potential is filled in when first needed, so the whole tree costs n - 1
+    evaluations of ``rfn``. Exact sets keep q_v as a Fraction with exponent 0;
+    float sets as a ``math.frexp`` mantissa and exponent, which cannot overflow.
+    """
+
+    def __init__(self, t: SpanningTree, rfn: Callable, exact: bool):
+        self.t, self.rfn, self.exact = t, rfn, exact
+        self._q = {t.root: (Fraction(1), 0) if exact else math.frexp(1.0)}
+
+    def __getitem__(self, v: int) -> tuple:
+        """(mantissa, exponent) of q_v."""
+        chain, w = [], v
+        while w not in self._q:  # climb to the nearest known ancestor
+            chain.append(w)
+            w = self.t.parent[w]
+        for w in reversed(chain):
+            u = self.t.parent[w]
+            (m, e), r = self._q[u], self.rfn(u, w)
+            if self.exact:
+                self._q[w] = (m * r, 0)
+            else:
+                mr, er = math.frexp(r)
+                m, k = math.frexp(m * mr)
+                self._q[w] = (m, e + er + k)
+        return self._q[v]
+
+    def values(self, top: bool = False) -> tuple:
+        """Potentials of nodes 1..n; floats scaled by 2**-s, with s = 0, or with
+        ``top`` the s that puts the largest in [1, 2). Past float64: inf or 0."""
+        q = [self[v] for v in range(1, self.t.n + 1)]
+        if self.exact:
+            return tuple(m for m, _ in q)
+        s = max(e for _, e in q) - 1 if top else 0
+        return tuple(math.ldexp(m, e - s) if e - s <= 1024 else math.inf for m, e in q)
+
+    def residuals(self, g: Graph, tol: float = HOLONOMY_TOL) -> tuple:
+        """(failing, margin) over the non-tree edges (i, j), in ascending order.
+
+        Each closes the fundamental cycle i..j-i, whose ratio product is the
+        residual R = q_j * rfn(j, i) / q_i; exact sets test R == 1, floats
+        |R - 1| <= ``tol``. ``failing`` is the first edge that fails, or None;
+        ``margin`` the worst |log R|, 0.0 on a tree.
+        """
+        failing, margin = None, 0.0
+        for i, j in (e for e in g.sorted_edges if e not in self.t.edges):
+            (mi, ei), (mj, ej), r = self[i], self[j], self.rfn(j, i)
+            if self.exact:
+                num, den = (mj * r / mi).as_integer_ratio()
+                ok, log_r = num == den, math.log(num) - math.log(den)
+            else:
+                mr, er = math.frexp(r)
+                x, k = mj * mr / mi, ej + er - ei  # R = x * 2**k
+                ok = abs(k) < 4 and abs(math.ldexp(x, k) - 1.0) <= tol
+                log_r = math.log(x) + k * math.log(2.0)
+            margin = max(margin, abs(log_r))
+            if failing is None and not ok:
+                failing = (i, j)
+        return failing, margin
+
+
 @dataclass(frozen=True)
 class HolonomyWitness:
     """A closed walk whose ratio product differs from one."""
@@ -160,28 +228,25 @@ class HolonomyWitness:
 class HolonomyReport:
     holonomic: bool
     witness: Optional[HolonomyWitness] = None
+    margin: float = 0.0  # worst |log R| over the fundamental cycles; 0.0 for a tree
 
 
 def check_holonomy(ws: WeightSet) -> HolonomyReport:
-    """Decide whether every cycle has ratio product one.
+    """Decide whether every cycle has ratio product one, in O(n + m).
 
-    Only the fundamental cycles of the breadth-first tree rooted at node 1
-    are checked: walk products are multiplicative over concatenation and
-    cancel on back-and-forth steps, so the cycle basis determines the
-    product over every cycle. Exact sets are decided exactly; float sets
-    use |R - 1| <= HOLONOMY_TOL. The witness is the first failing cycle in
-    ascending non-tree-edge order.
+    :meth:`TreePotentials.residuals` over the breadth-first tree rooted at
+    node 1 tests the fundamental cycles, which determine the product over
+    every cycle: walk products are multiplicative over concatenation and
+    cancel on back-and-forth steps. Float sets use |R - 1| <= HOLONOMY_TOL.
+    Only the first failing cycle is built, as the witness, with its ratio
+    from :func:`walk_ratio`.
     """
     t = spanning_tree(ws.graph, root=1)
-    for cycle in fundamental_cycles(ws.graph, t):
-        r = walk_ratio(ws, cycle)
-        if ws.exact:
-            ok = r == 1
-        else:
-            ok = abs(r - 1.0) <= HOLONOMY_TOL
-        if not ok:
-            return HolonomyReport(False, HolonomyWitness(cycle, r))
-    return HolonomyReport(True, None)
+    failing, margin = TreePotentials(t, partial(ratio, ws), ws.exact).residuals(ws.graph)
+    if failing is None:
+        return HolonomyReport(True, None, margin)
+    cycle = fundamental_cycle(t, *failing)
+    return HolonomyReport(False, HolonomyWitness(cycle, walk_ratio(ws, cycle)), margin)
 
 
 def min_weight(ws: WeightSet) -> Scalar:

@@ -125,6 +125,35 @@ def test_cmd_check_exit_codes(workdir, capsys):
     assert main(["check", bad, g]) == 2
 
 
+def test_cmd_check_prints_margin_second(workdir, capsys):
+    _, write = workdir
+    g = write("g.json", TRIANGLE_GRAPH)
+    assert main(["check", g, write("w.json", BALANCED_RATIONAL)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["holonomic: true", "holonomy margin: 0.000e+00"]
+    assert main(["check", g, write("u.json", UNBALANCED_FLOAT)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["holonomic: false", "holonomy margin: 6.931e-01"]  # |log(1/2)|
+
+
+def test_cmd_limit_float_range(workdir, capsys):
+    _, write = workdir
+
+    def path(n, a, b):
+        graph = write(f"p{n}.json", {"n": n, "edges": [[i, i + 1] for i in range(1, n)]})
+        weights = [{"edge": [i, i + 1], "a_ij": a, "a_ji": b} for i in range(1, n)]
+        return graph, write(f"w{n}_{a}.json", weights)
+
+    assert main(["limit", *path(1800, 0.6, 0.4)]) == 0
+    assert len(capsys.readouterr().out.split()) == 1800
+    assert main(["limit", *path(400, 0.1, 0.9)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    # a directed ratio of 0.5 / 5e-324 overflows to inf before any potential exists
+    tiny = write("tiny.json", [{"edge": [1, 2], "a_ij": 5e-324, "a_ji": 0.5}])
+    assert main(["limit", path(2, 0.5, 0.5)[0], tiny, "--base", "2"]) in (0, 2)
+
+
 def test_cmd_limit_output(workdir, capsys):
     _, write = workdir
     g = write("g.json", TRIANGLE_GRAPH)
@@ -261,6 +290,14 @@ def test_cmd_verify_subset(capsys):
     assert main(["verify", "--criteria", "10"]) == 0
     out = capsys.readouterr().out
     assert "criterion 10" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("criteria", ["x", "99", "1,x", ","])
+def test_cmd_verify_rejects_bad_criteria(criteria, capsys):
+    assert main(["verify", "--criteria", criteria]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --criteria") and "Traceback" not in captured.err
 
 
 def test_log_env_smoke(workdir, monkeypatch, capsys):
