@@ -26,34 +26,22 @@ from .engine import (
     ScheduleClass,
     classify_schedule,
     ergodicity_coefficient,
-    gossip_step,
     is_scrambling,
     min_entry_floor_check,
-    product_step,
     run,
     seminorm,
 )
 from .graph import (
-    DirectedGraph,
-    EdgeSequence,
     Graph,
     SpanningTree,
     UnionFind,
     Walk,
     build_graph,
-    compose,
-    directed_graph,
-    edge_sequence,
     fundamental_cycles,
-    identity_digraph,
-    is_neighbor_shared,
-    is_strongly_connected,
     normalize_edge,
     spanning_tree,
     spanning_tree_containing,
     spanning_tree_from_edges,
-    support_digraph,
-    walk,
 )
 from .limit import (
     Potential,

@@ -135,7 +135,7 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     g = files.load_graph(args.graph)
     ws = files.load_weights(args.weights, g)
-    if args.tol <= 0:
+    if not args.tol > 0:
         raise FileFormatError(f"--tol must be positive, got {args.tol}")
     if args.schedule and args.random_steps:
         raise FileFormatError("give either --schedule or --random-steps, not both")
@@ -259,9 +259,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FileFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except HologossipError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

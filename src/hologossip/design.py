@@ -42,6 +42,8 @@ class RatioVector:
             e = graph.require_edge(int(key[0]), int(key[1]))
             if y <= 0:
                 raise ParameterOutOfRange(f"ratio {y} on edge {e} must be positive")
+            if is_exact(y):
+                y = Fraction(y)  # so that reciprocals of ints stay exact
             if key[0] > key[1]:
                 y = 1 / y
             if e in store:
@@ -175,6 +177,8 @@ class BoxPoint:
 
 def sample_box_point(g: Graph, seed: int, margin: float = BOX_MARGIN) -> BoxPoint:
     """Seeded uniform draw in (margin, 1 - margin) per edge (PCG64 stream)."""
+    if seed < 0:
+        raise ParameterOutOfRange(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
     draws = rng.uniform(margin, 1.0 - margin, size=len(g.sorted_edges))
     return BoxPoint.from_sequence(g, [float(v) for v in draws])

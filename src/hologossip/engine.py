@@ -3,8 +3,9 @@
 A schedule is a finite sequence of edges: explicit, periodic, or drawn
 uniformly at random from the edge set with a seeded generator. Stepping an
 edge (i, j) left-multiplies the running product by that edge's local
-matrix, which only mixes rows i and j, so each step costs O(n) instead of
-a dense multiply.
+matrix, which only mixes rows i and j, so the update costs O(n) instead of
+a dense multiply. A run also takes the O(n^2) seminorm of the product after
+every step, for its stopping rule. The state reached from x0 is P @ x0.
 
 Diagnostics follow the standard contraction toolkit for products of
 stochastic matrices: the row-spread semi-norm (max column spread, zero
@@ -27,11 +28,11 @@ simulates in float64 regardless of the weight kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .errors import GraphMismatch, NotStochastic, UnknownEdge
+from .errors import GraphMismatch, InvalidSchedule, NotStochastic, UnknownEdge
 from .graph import Graph, UnionFind, normalize_edge
 from .weights import EdgeWeights, WeightSet, entry_floor
 
@@ -76,17 +77,19 @@ class Schedule:
     def periodic(cls, graph: Graph, period, repetitions: int) -> "Schedule":
         canon = tuple(graph.require_edge(*e) for e in period)
         if not canon:
-            raise ValueError("period must be nonempty")
+            raise InvalidSchedule("period must be nonempty")
         if repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+            raise InvalidSchedule("repetitions must be >= 1")
         return cls(graph=graph, kind="periodic", period=canon, repetitions=repetitions)
 
     @classmethod
     def random(cls, graph: Graph, seed: int, steps: int) -> "Schedule":
         if seed is None:
-            raise ValueError("random schedules need an explicit seed")
+            raise InvalidSchedule("random schedules need an explicit seed")
+        if seed < 0:
+            raise InvalidSchedule(f"seed must be >= 0, got {seed}")
         if steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise InvalidSchedule(f"steps must be >= 1, got {steps}")
         if not graph.edges:
             raise UnknownEdge("graph has no edges to draw from")
         return cls(graph=graph, kind="random", seed=int(seed), steps=int(steps))
@@ -112,11 +115,10 @@ class Schedule:
 
 @dataclass(frozen=True)
 class ScheduleClass:
-    """Spanning classification; ``almost_sure`` marks probability-one claims."""
+    """Spanning classification; random schedules are spanning with probability one."""
 
     spanning: bool
     m_spanning: Optional[int] = None
-    almost_sure: bool = False
 
 
 def covers_spanning_tree(n: int, edges) -> bool:
@@ -143,7 +145,7 @@ def classify_schedule(s: Schedule) -> ScheduleClass:
     if s.kind == "explicit":
         return ScheduleClass(spanning=covers_spanning_tree(n, s.edges))
     if s.kind == "random":
-        return ScheduleClass(spanning=True, m_spanning=None, almost_sure=True)
+        return ScheduleClass(spanning=True)
     period = s.period
     if not covers_spanning_tree(n, period):
         return ScheduleClass(spanning=False)
@@ -157,39 +159,18 @@ def classify_schedule(s: Schedule) -> ScheduleClass:
     return ScheduleClass(spanning=True, m_spanning=None)
 
 
-# -- single-step updates ------------------------------------------------------
-
-def gossip_step(x, edge, w: EdgeWeights):
-    """Apply one pairwise update to the state vector in place.
-
-    For edge (i, j): x_i <- (1-a_ij) x_i + a_ij x_j and
-    x_j <- a_ji x_i + (1-a_ji) x_j, computed from the old values; all other
-    entries are untouched, so the update is O(1).
-    """
-    i, j = normalize_edge(int(edge[0]), int(edge[1]))
-    if i == j or i < 1 or j > len(x):
-        raise UnknownEdge(f"edge ({edge[0]},{edge[1]}) invalid for {len(x)} nodes")
-    a, b = float(w.a_ij), float(w.a_ji)
-    xi, xj = x[i - 1], x[j - 1]
-    x[i - 1] = (1.0 - a) * xi + a * xj
-    x[j - 1] = b * xi + (1.0 - b) * xj
-    return x
-
+# -- running product ----------------------------------------------------------
 
 class ProductTracker:
-    """Running left product of local matrices with recorded diagnostics.
+    """Running left product of local matrices.
 
     Starts at the identity. ``step`` left-multiplies one edge's local
-    matrix by replacing rows i and j with their mixtures; histories of
-    (t, seminorm) and (t, min nonzero entry) are appended per the trace
-    recording policy.
+    matrix by replacing rows i and j with their mixtures.
     """
 
     def __init__(self, n: int):
         self.P = np.eye(n)
         self.t = 0
-        self.seminorm_history = [(0, seminorm(self.P))]
-        self.minentry_history = [(0, 1.0)]
 
     def step(self, edge, w: EdgeWeights) -> "ProductTracker":
         i, j = normalize_edge(int(edge[0]), int(edge[1]))
@@ -199,9 +180,6 @@ class ProductTracker:
         self.P[i - 1] = new_i
         self.P[j - 1] = new_j
         self.t += 1
-        if _should_record(self.t):
-            self.seminorm_history.append((self.t, self.seminorm()))
-            self.minentry_history.append((self.t, self.min_entry()))
         return self
 
     def seminorm(self) -> float:
@@ -209,11 +187,6 @@ class ProductTracker:
 
     def min_entry(self) -> float:
         return float(self.P[self.P > 0].min())
-
-
-def product_step(tracker: ProductTracker, edge, w: EdgeWeights) -> ProductTracker:
-    """Advance the tracker by one edge (mutates and returns it)."""
-    return tracker.step(edge, w)
 
 
 # -- matrix diagnostics -------------------------------------------------------
@@ -231,15 +204,15 @@ def ergodicity_coefficient(M) -> float:
         raise NotStochastic("matrix must be square")
     if (m < -1e-12).any() or np.abs(m.sum(axis=1) - 1.0).max() > 1e-9:
         raise NotStochastic("matrix is not row stochastic")
-    diffs = np.abs(m[:, None, :] - m[None, :, :]).sum(axis=2)
-    return float(diffs.max() / 2.0)
+    # one row against the rows after it at a time: O(n^2) memory, not O(n^3)
+    worst = max(np.abs(m[i:] - m[i]).sum(axis=1).max() for i in range(len(m)))
+    return float(worst / 2.0)
 
 
 def is_scrambling(M) -> bool:
     """True when no two rows have disjoint support."""
     pos = np.asarray(M) > 0
-    shared = (pos[:, None, :] & pos[None, :, :]).any(axis=2)
-    return bool(shared.all())
+    return all((pos[i:] & pos[i]).any(axis=1).all() for i in range(len(pos)))
 
 
 # -- full runs ----------------------------------------------------------------
@@ -249,7 +222,6 @@ class RunOptions:
     """Knobs for :func:`run`. ``tol`` of 0 disables early stopping."""
 
     tol: float = DEFAULT_TOL
-    x0: Optional[Sequence[float]] = None
 
 
 @dataclass(frozen=True)
@@ -278,11 +250,10 @@ class RunReport:
     tol: float
     schedule_kind: str
     schedule_seed: Optional[int] = None
-    x_final: Optional[list] = None
 
 
 def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) -> RunReport:
-    """Step the product (and optionally a state vector) through a schedule.
+    """Step the product through a schedule.
 
     Stops at the end of the schedule or as soon as the product's seminorm
     drops below ``opts.tol``. The limit estimate ``p_hat`` is the vector of
@@ -305,12 +276,6 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     pairs = {e: wsf.pair(e) for e in wsf.graph.sorted_edges}
 
     tracker = ProductTracker(n)
-    x = None
-    if opts.x0 is not None:
-        x = np.asarray(opts.x0, dtype=float).copy()
-        if x.shape != (n,):
-            raise GraphMismatch(f"initial state has shape {x.shape}, wanted ({n},)")
-
     trace = []
     max_viol = None
 
@@ -329,10 +294,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     for edge in schedule.edge_list():
         if converged:
             break
-        w = pairs[edge]
-        tracker.step(edge, w)
-        if x is not None:
-            gossip_step(x, edge, w)
+        tracker.step(edge, pairs[edge])
         last_edge = edge
         s = tracker.seminorm()
         converged = s < opts.tol
@@ -356,7 +318,6 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
         tol=opts.tol,
         schedule_kind=schedule.kind,
         schedule_seed=schedule.seed,
-        x_final=None if x is None else [float(v) for v in x],
     )
 
 

@@ -27,10 +27,6 @@ class InvalidNode(HologossipError):
     """Raised on a node index outside 1..n."""
 
 
-class MismatchedNodeCounts(HologossipError):
-    """Raised when composing digraphs over different node sets."""
-
-
 # -- weights and walks ------------------------------------------------------
 
 class UnknownEdge(HologossipError):
@@ -72,7 +68,8 @@ class NotBalanced(HologossipError):
 
 
 class ParameterOutOfRange(HologossipError):
-    """Raised on a box parameter outside the open interval (0, 1)."""
+    """Raised on a box parameter outside the open interval (0, 1), a
+    nonpositive ratio, or a negative sampling seed."""
 
 
 # -- engine ------------------------------------------------------------------
@@ -83,6 +80,11 @@ class NotStochastic(HologossipError):
 
 class GraphMismatch(HologossipError):
     """Raised when a weight set and a schedule refer to different graphs."""
+
+
+class InvalidSchedule(HologossipError):
+    """Raised on an empty period, a step count below one, or a missing or
+    negative seed."""
 
 
 # -- file and configuration surface ------------------------------------------

@@ -8,7 +8,7 @@ All structured documents are JSON with 1-indexed nodes:
   whole set to exact mode and mixing the two kinds is an error.
 * schedule: {"type": "explicit", "edges": [...]}
             {"type": "periodic", "period": [...], "repetitions": 100}
-            {"type": "random", "steps": 10000, "seed": 7}   (seed required)
+            {"type": "random", "steps": 10000, "seed": 7}   (integer seed >= 0 required)
 
 Run reports are JSON; traces are tab-separated text with one row per
 recorded step (t, edge, seminorm, bound, min_entry; bound left empty when
@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .engine import RunReport, Schedule
-from .errors import FileFormatError, MixedScalarKinds
+from .errors import FileFormatError, InvalidSchedule, MixedScalarKinds
 from .graph import Graph, build_graph
 from .weights import WeightSet
 
@@ -116,11 +116,6 @@ def weights_to_json(ws: WeightSet) -> str:
     return json.dumps(records, indent=2) + "\n"
 
 
-def save_weights(ws: WeightSet, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(weights_to_json(ws))
-
-
 def load_schedule(path, graph: Graph, seed_override=None) -> Schedule:
     doc = _load_json(path)
     return schedule_from_dict(doc, graph, seed_override=seed_override, where=str(path))
@@ -155,8 +150,10 @@ def schedule_from_dict(doc, graph: Graph, seed_override=None, where="schedule") 
                 raise FileFormatError(
                     f"{where}: random schedules need an explicit seed"
                 )
-            return Schedule.random(graph, int(seed), steps)
-    except ValueError as exc:
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                raise FileFormatError(f"{where}: 'seed' must be an integer")
+            return Schedule.random(graph, seed, steps)
+    except InvalidSchedule as exc:
         raise FileFormatError(f"{where}: {exc}") from exc
     raise FileFormatError(f"{where}: unknown schedule type {kind!r}")
 

@@ -1,4 +1,4 @@
-"""Simple connected graphs, walks, spanning trees, and digraph composition.
+"""Simple connected graphs, walks, spanning trees, and the fundamental cycle basis.
 
 Nodes are integers 1..n. Undirected edges are stored canonically as pairs
 (i, j) with i < j; public helpers accept either orientation. Every traversal
@@ -13,15 +13,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-import numpy as np
-
 from .errors import (
     DisconnectedGraph,
     DuplicateEdge,
     EmptyGraph,
     InvalidNode,
     InvalidWalk,
-    MismatchedNodeCounts,
     SelfLoop,
     UnknownEdge,
 )
@@ -125,69 +122,12 @@ class Walk:
 
     nodes: tuple
 
-    def __len__(self):
-        return len(self.nodes)
-
-    @property
-    def is_closed(self) -> bool:
-        return len(self.nodes) >= 1 and self.nodes[0] == self.nodes[-1]
-
     def steps(self):
         """Consecutive (u, v) node pairs along the walk."""
         return zip(self.nodes, self.nodes[1:])
 
-    def inverse(self) -> "Walk":
-        return Walk(tuple(reversed(self.nodes)))
-
-    def concat(self, other: "Walk") -> "Walk":
-        if not self.nodes or not other.nodes:
-            return Walk(self.nodes or other.nodes)
-        if self.nodes[-1] != other.nodes[0]:
-            raise InvalidWalk("walks do not share an endpoint")
-        return Walk(self.nodes + other.nodes[1:])
-
     def __str__(self):
         return "→".join(str(v) for v in self.nodes)
-
-
-def walk(g: Graph, nodes: Iterable[int]) -> Walk:
-    """Build a walk and check every consecutive pair is an edge of ``g``."""
-    w = Walk(tuple(int(v) for v in nodes))
-    for u, v in w.steps():
-        if not g.has_edge(u, v):
-            raise InvalidWalk(f"({u},{v}) is not an edge of the graph")
-    return w
-
-
-@dataclass(frozen=True)
-class EdgeSequence:
-    """Finite ordered sequence of edges of one graph."""
-
-    edges: tuple
-
-    def __len__(self):
-        return len(self.edges)
-
-    def __iter__(self):
-        return iter(self.edges)
-
-    def __getitem__(self, idx):
-        return self.edges[idx]
-
-    def string(self, t: int, s: int = 0) -> "EdgeSequence":
-        """Contiguous subsequence covering steps s+1..t."""
-        return EdgeSequence(self.edges[s:t])
-
-    def append(self, e) -> "EdgeSequence":
-        return EdgeSequence(self.edges + (tuple(e),))
-
-
-def edge_sequence(g: Graph, edges: Iterable) -> EdgeSequence:
-    """Validate membership and canonicalize each edge's orientation."""
-    out = []
-    for pair in edges:
-        out.append(g.require_edge(int(pair[0]), int(pair[1])))
-    return EdgeSequence(tuple(out))
 
 
 @dataclass(eq=False)
@@ -299,94 +239,3 @@ class UnionFind:
         self.components -= 1
         return True
 
-
-# -- directed graphs (matrix supports) ---------------------------------------
-
-@dataclass(frozen=True)
-class DirectedGraph:
-    """Directed graph on nodes 1..n given by a set of (source, target) pairs."""
-
-    n: int
-    edges: frozenset
-
-    @cached_property
-    def out_neighbors(self) -> dict:
-        out = {v: [] for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            out[u].append(v)
-        return {v: tuple(sorted(t)) for v, t in out.items()}
-
-    @cached_property
-    def in_neighbors(self) -> dict:
-        inn = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            inn[v].add(u)
-        return inn
-
-
-def directed_graph(n: int, edges: Iterable) -> DirectedGraph:
-    out = set()
-    for pair in edges:
-        u, v = int(pair[0]), int(pair[1])
-        if not (1 <= u <= n) or not (1 <= v <= n):
-            raise InvalidNode(f"arc ({u},{v}) uses a node outside 1..{n}")
-        out.add((u, v))
-    return DirectedGraph(n=n, edges=frozenset(out))
-
-
-def identity_digraph(n: int) -> DirectedGraph:
-    """Self-loops only; the identity of composition."""
-    return DirectedGraph(n=n, edges=frozenset((v, v) for v in range(1, n + 1)))
-
-
-def support_digraph(matrix) -> DirectedGraph:
-    """Support of a square matrix as a digraph.
-
-    There is an arc u -> v exactly when entry (v, u) is nonzero, i.e. when
-    applying the matrix moves mass from position u to position v. With this
-    convention the support of a product M2 @ M1 is compose(support(M2),
-    support(M1)).
-    """
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise MismatchedNodeCounts("support requires a square matrix")
-    rows, cols = np.nonzero(m)
-    return DirectedGraph(
-        n=m.shape[0],
-        edges=frozenset((int(c) + 1, int(r) + 1) for r, c in zip(rows, cols)),
-    )
-
-
-def compose(gq: DirectedGraph, gp: DirectedGraph) -> DirectedGraph:
-    """Composition applying ``gp`` first, then ``gq``.
-
-    There is an arc u -> v in the result exactly when some k has u -> k in
-    gp and k -> v in gq; this matches the support of the matrix product
-    Mq @ Mp.
-    """
-    if gq.n != gp.n:
-        raise MismatchedNodeCounts(f"node counts differ: {gq.n} vs {gp.n}")
-    out = set()
-    for u in range(1, gp.n + 1):
-        targets = set()
-        for k in gp.out_neighbors[u]:
-            targets.update(gq.out_neighbors[k])
-        out.update((u, v) for v in targets)
-    return DirectedGraph(n=gp.n, edges=frozenset(out))
-
-
-def is_neighbor_shared(g: DirectedGraph) -> bool:
-    """True when every pair of distinct nodes has a common in-neighbor."""
-    inn = g.in_neighbors
-    for i in range(1, g.n + 1):
-        for j in range(i + 1, g.n + 1):
-            if inn[i].isdisjoint(inn[j]):
-                return False
-    return True
-
-
-def is_strongly_connected(g: DirectedGraph) -> bool:
-    """True when every node is reachable from node 1 and node 1 from every node."""
-    fwd = bfs_parents(1, g.out_neighbors.__getitem__)
-    bwd = bfs_parents(1, g.in_neighbors.__getitem__)
-    return len(fwd) == g.n and len(bwd) == g.n

@@ -31,10 +31,11 @@ class ProbabilityVector:
     entries: tuple
 
     def __post_init__(self):
-        if not self.entries or any(v <= 0 for v in self.entries):
+        # written as "not ... > / <=" so that NaN entries fail both tests
+        if not self.entries or any(not v > 0 for v in self.entries):
             raise ValueError("entries must be strictly positive")
         total = sum(self.entries)
-        if total != 1 if self.exact else abs(total - 1.0) > VECTOR_TOL:
+        if total != 1 if self.exact else not abs(total - 1.0) <= VECTOR_TOL:
             raise ValueError(f"entries sum to {total}, not 1")
 
     def __len__(self):

@@ -95,10 +95,6 @@ class WeightSet:
             {e: (float(w.a_ij), float(w.a_ji)) for e, w in self._pairs.items()},
         )
 
-    @property
-    def kind(self) -> str:
-        return "rational" if self.exact else "float"
-
     def one(self) -> Scalar:
         return Fraction(1) if self.exact else 1.0
 

@@ -40,7 +40,7 @@ def test_load_graph_and_weights_roundtrip(workdir):
     assert ws.exact
     assert ws.weight(1, 2) == F(1, 5)
     out = tmp / "back.json"
-    files.save_weights(ws, out)
+    out.write_text(files.weights_to_json(ws))
     ws2 = files.load_weights(out, g)
     assert ws2.items() == ws.items()
 
@@ -92,6 +92,8 @@ def test_schedule_files(workdir):
         files.load_schedule(write("noseed.json", {"type": "random", "steps": 10}), g)
     s = files.load_schedule(write("noseed2.json", {"type": "random", "steps": 10}), g, seed_override=3)
     assert s.seed == 3
+    with pytest.raises(errors.FileFormatError, match="neg.json: seed must be >= 0"):
+        files.load_schedule(write("neg.json", {"type": "random", "steps": 10, "seed": -1}), g)
 
 
 def test_trace_and_report_formats(balanced_float, triangle, tmp_path):
@@ -265,6 +267,29 @@ def test_cmd_simulate_config_errors(workdir):
     assert main(["simulate", g, w, "--random-steps", "10"]) == 2  # missing seed
     assert main(["simulate", g, w, "--random-steps", "10", "--seed", "1", "--tol", "0"]) == 2
     assert main(["simulate", g, w]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{g}", "{w}", "--random-steps", "-5", "--seed", "1"],
+    ["simulate", "{g}", "{w}", "--random-steps", "100", "--seed", "-1"],
+    ["simulate", "{g}", "{w}", "--random-steps", "100", "--seed", "1", "--tol", "nan"],
+    ["simulate", "{g}", "{w}", "--schedule", "{negseed}"],
+    ["simulate", "{g}", "{w}", "--schedule", "{strseed}"],
+    ["design", "{g}", "--target", "0.5,0.3,0.2", "--seed", "-3"],
+])
+def test_cli_rejects_bad_numbers_with_exit_2(workdir, capsys, argv):
+    _, write = workdir
+    paths = {
+        "g": write("g.json", TRIANGLE_GRAPH),
+        "w": write("w.json", BALANCED_RATIONAL),
+        "negseed": write("neg.json", {"type": "random", "steps": 10, "seed": -1}),
+        "strseed": write("str.json", {"type": "random", "steps": 10, "seed": "x"}),
+    }
+    assert main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert "Traceback" not in captured.err
 
 
 def test_cmd_witness(workdir, capsys):

@@ -200,6 +200,15 @@ def test_ratio_vector_validation(triangle):
     assert y.get(1, 2) == F(2, 3)
 
 
+def test_exact_ratio_vector_get_returns_fractions(triangle):
+    y = RatioVector(triangle, {(1, 2): 2, (3, 2): 4, (1, 3): F(1, 2)})
+    assert y.exact
+    got = [y.get(i, j) for i, j in triangle.sorted_edges] + [
+        y.get(j, i) for i, j in triangle.sorted_edges]
+    assert all(type(v) is F for v in got)
+    assert got == [F(2), F(1, 2), F(1, 4), F(1, 2), F(2), F(4)]
+
+
 def test_sample_box_point_seeded(triangle):
     a = sample_box_point(triangle, seed=5)
     b = sample_box_point(triangle, seed=5)
@@ -207,3 +216,5 @@ def test_sample_box_point_seeded(triangle):
     assert a == b
     assert a != c
     assert all(0 < v < 1 for _, v in a.items())
+    with pytest.raises(errors.ParameterOutOfRange):
+        sample_box_point(triangle, seed=-3)

@@ -141,6 +141,10 @@ def test_probability_vector_validation():
         ProbabilityVector((F(1, 2), F(1, 2), F(1, 2)))
     with pytest.raises(ValueError):
         ProbabilityVector((F(3, 2), F(-1, 2)))
+    with pytest.raises(ValueError):
+        ProbabilityVector((float("nan"), 0.5))
+    with pytest.raises(ValueError):
+        ProbabilityVector((0.5, 0.5, 0.0 * float("inf")))
     p = ProbabilityVector((0.25, 0.75))
     assert p.as_floats() == (0.25, 0.75)
     assert not p.exact
