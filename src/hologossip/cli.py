@@ -135,8 +135,8 @@ def cmd_design(args) -> int:
 def cmd_simulate(args) -> int:
     g = files.load_graph(args.graph)
     ws = files.load_weights(args.weights, g)
-    if not args.tol > 0:
-        raise FileFormatError(f"--tol must be positive, got {args.tol}")
+    if not 0 < args.tol <= 1:  # the identity's seminorm is 1: a larger tol stops at once
+        raise FileFormatError(f"--tol must be in (0, 1], got {args.tol}")
     if args.schedule and args.random_steps:
         raise FileFormatError("give either --schedule or --random-steps, not both")
     if args.schedule:

@@ -11,24 +11,20 @@ limit.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import NonInteriorVector, NotBalanced, ParameterOutOfRange, UnknownEdge
-from .graph import Graph, fundamental_cycle, spanning_tree
-from .limit import ProbabilityVector, _normalized
-from .weights import Scalar, TreePotentials, WeightSet, is_exact, ratio
-
-#: Relative tolerance on cycle products of float ratio vectors.
-BALANCE_TOL = 1e-9
+from .graph import Graph, spanning_tree
+from .limit import ProbabilityVector, tree_vector
+from .weights import EdgeTable, WeightSet, check_holonomy, is_exact, ratio
 
 #: Default margin keeping sampled box parameters away from 0 and 1.
 BOX_MARGIN = 1e-6
 
 
-class RatioVector:
+class RatioVector(EdgeTable):
     """One positive ratio per directed edge with reciprocal orientations.
 
     Values are stored for canonical edges (i, j) with i < j; the opposite
@@ -36,49 +32,19 @@ class RatioVector:
     construction.
     """
 
-    def __init__(self, graph: Graph, values):
-        store = {}
-        for key, y in values.items():
-            e = graph.require_edge(int(key[0]), int(key[1]))
-            if y <= 0:
-                raise ParameterOutOfRange(f"ratio {y} on edge {e} must be positive")
-            if is_exact(y):
-                y = Fraction(y)  # so that reciprocals of ints stay exact
-            if key[0] > key[1]:
-                y = 1 / y
-            if e in store:
-                old = store[e]
-                clash = old != y if is_exact(old) and is_exact(y) else (
-                    abs(float(old) - float(y)) > 1e-12 * max(float(old), float(y))
-                )
-                if clash:
-                    raise ParameterOutOfRange(f"conflicting ratios for edge {e}")
-                continue
-            store[e] = y
-        missing = set(graph.edges) - set(store)
-        if missing:
-            raise UnknownEdge(f"no ratio for edges {sorted(missing)}")
-        self.graph = graph
-        self._y = store
-        self.exact = all(is_exact(v) for v in store.values())
+    noun = "ratio"
 
-    def get(self, i: int, j: int) -> Scalar:
-        e = self.graph.require_edge(i, j)
-        y = self._y[e]
-        return y if (i, j) == e else 1 / y
+    def _check(self, y, e):
+        if y <= 0:
+            raise ParameterOutOfRange(f"ratio {y} on edge {e} must be positive")
+        return Fraction(y) if is_exact(y) else y  # so that reciprocals of ints stay exact
 
-    def items(self):
-        return [(e, self._y[e]) for e in self.graph.sorted_edges]
+    def _flip(self, y):
+        return 1 / y
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatioVector)
-            and self.graph == other.graph
-            and self._y == other._y
-        )
-
-    def __hash__(self):
-        return hash((self.graph, tuple(sorted(self._y.items()))))
+    def terms(self, i: int, j: int) -> tuple:
+        """The ratio read in the orientation (i, j), over one."""
+        return self.get(i, j), 1
 
 
 def weight_ratios(ws: WeightSet) -> RatioVector:
@@ -108,41 +74,30 @@ def distribution_ratios(p, g: Graph) -> RatioVector:
 def distribution_from_ratios(y: RatioVector) -> ProbabilityVector:
     """The unique positive unit-sum vector whose quotients equal ``y``.
 
-    One :class:`hologossip.weights.TreePotentials` pass with ``y.get`` over
-    the breadth-first tree from node 1 checks balance and gives the node
-    potentials, then normalized; balance makes the tree choice immaterial.
+    :func:`hologossip.weights.check_holonomy` tests balance; the vector is
+    then the normalized potentials of the breadth-first tree from node 1,
+    and balance makes the tree choice immaterial.
 
     Raises:
         NotBalanced: when some fundamental cycle has product != 1 (exact
-            for exact ratios, |Y - 1| <= BALANCE_TOL otherwise).
+            for exact ratios, |Y - 1| <= HOLONOMY_TOL otherwise).
     """
-    t = spanning_tree(y.graph, root=1)
-    pot = TreePotentials(t, y.get, y.exact)
-    failing, _ = pot.residuals(y.graph, BALANCE_TOL)
-    if failing is not None:
-        cycle = fundamental_cycle(t, *failing)
-        prod = math.prod((y.get(u, v) for u, v in cycle.steps()),
-                         start=Fraction(1) if y.exact else 1.0)
-        raise NotBalanced(f"cycle {cycle} has ratio product {prod}")
-    return _normalized(pot)
+    report = check_holonomy(y)
+    if not report.holonomic:
+        w = report.witness
+        raise NotBalanced(f"cycle {w.cycle} has ratio product {w.ratio}")
+    return tree_vector(y, spanning_tree(y.graph, root=1))
 
 
-class BoxPoint:
+class BoxPoint(EdgeTable):
     """One parameter in (0, 1) per undirected edge."""
 
-    def __init__(self, graph: Graph, values):
-        store = {}
-        for key, x in values.items():
-            e = graph.require_edge(int(key[0]), int(key[1]))
-            if not (0 < x < 1):
-                raise ParameterOutOfRange(f"box parameter {x} on edge {e} outside (0,1)")
-            store[e] = x
-        missing = set(graph.edges) - set(store)
-        if missing:
-            raise UnknownEdge(f"no box parameter for edges {sorted(missing)}")
-        self.graph = graph
-        self._x = store
-        self.exact = all(is_exact(v) for v in store.values())
+    noun = "box parameter"
+
+    def _check(self, x, e):
+        if not (0 < x < 1):
+            raise ParameterOutOfRange(f"box parameter {x} on edge {e} outside (0,1)")
+        return x
 
     @classmethod
     def from_sequence(cls, graph: Graph, values) -> "BoxPoint":
@@ -157,22 +112,6 @@ class BoxPoint:
     @classmethod
     def uniform(cls, graph: Graph, value) -> "BoxPoint":
         return cls(graph, {e: value for e in graph.sorted_edges})
-
-    def value(self, edge) -> Scalar:
-        return self._x[self.graph.require_edge(*edge)]
-
-    def items(self):
-        return [(e, self._x[e]) for e in self.graph.sorted_edges]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BoxPoint)
-            and self.graph == other.graph
-            and self._x == other._x
-        )
-
-    def __hash__(self):
-        return hash((self.graph, tuple(sorted(self._x.items()))))
 
 
 def sample_box_point(g: Graph, seed: int, margin: float = BOX_MARGIN) -> BoxPoint:
@@ -196,9 +135,7 @@ def weights_from_ratios(y: RatioVector, x: BoxPoint) -> WeightSet:
         raise UnknownEdge("ratio vector and box point use different graphs")
     exact = y.exact and x.exact
     pairs = {}
-    for e in y.graph.sorted_edges:
-        r = y.get(*e)
-        t = x.value(e)
+    for (e, r), (_, t) in zip(y.items(), x.items()):
         if not exact:
             r, t = float(r), float(t)
         if r <= 1:

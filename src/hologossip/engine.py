@@ -121,42 +121,37 @@ class ScheduleClass:
     m_spanning: Optional[int] = None
 
 
-def covers_spanning_tree(n: int, edges) -> bool:
-    """True when the edge set connects all n nodes (incremental union-find)."""
+def spanning_prefix(n: int, edges) -> Optional[int]:
+    """Length of the shortest prefix of ``edges`` that connects all n nodes,
+    or None when the whole sequence does not (incremental union-find)."""
     uf = UnionFind(n)
-    for e in edges:
+    for k, e in enumerate(edges, 1):
         uf.union(*e)
         if uf.components == 1:
-            return True
-    return uf.components == 1
+            return k
+    return 0 if uf.components == 1 else None
 
 
 def classify_schedule(s: Schedule) -> ScheduleClass:
     """Spanning test plus, for periodic schedules, the smallest window m
     such that every length-m window of the repeated period is spanning.
 
-    Windows are scanned at every offset within one period over a tripled
-    period, which covers all windows of the infinite repetition up to
-    length 2 * len(period); if the period spans at all, some m in that
-    range works. Random schedules are spanning with probability one and
-    have no defined m.
+    A window of the repetition is a prefix of some rotation of the period,
+    so m is the largest, over the rotations, shortest spanning prefix: one
+    union-find pass per rotation, O(len(period)**2). A spanning period has
+    every rotation spanning within len(period) edges. Random schedules are
+    spanning with probability one and have no defined m.
     """
     n = s.graph.n
     if s.kind == "explicit":
-        return ScheduleClass(spanning=covers_spanning_tree(n, s.edges))
+        return ScheduleClass(spanning=spanning_prefix(n, s.edges) is not None)
     if s.kind == "random":
         return ScheduleClass(spanning=True)
     period = s.period
-    if not covers_spanning_tree(n, period):
+    if spanning_prefix(n, period) is None:
         return ScheduleClass(spanning=False)
-    tripled = period * 3
-    length = len(period)
-    for m in range(1, 2 * length + 1):
-        if all(
-            covers_spanning_tree(n, tripled[o : o + m]) for o in range(length)
-        ):
-            return ScheduleClass(spanning=True, m_spanning=m)
-    return ScheduleClass(spanning=True, m_spanning=None)
+    m = max(spanning_prefix(n, period[o:] + period[:o]) for o in range(len(period)))
+    return ScheduleClass(spanning=True, m_spanning=m)
 
 
 # -- running product ----------------------------------------------------------
@@ -272,8 +267,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     info = classify_schedule(schedule)
     eps = float(entry_floor(ws))
     window = info.m_spanning * (n // 2) if info.m_spanning else None
-    wsf = ws.to_float()
-    pairs = {e: wsf.pair(e) for e in wsf.graph.sorted_edges}
+    pairs = dict(ws.to_float().items())
 
     tracker = ProductTracker(n)
     trace = []
@@ -329,8 +323,7 @@ def min_entry_floor_check(ws: WeightSet, schedule: Schedule) -> bool:
     tracker = ProductTracker(ws.graph.n)
     if not tracker.min_entry() > eps:
         return False
-    wsf = ws.to_float()
-    pairs = {e: wsf.pair(e) for e in wsf.graph.sorted_edges}
+    pairs = dict(ws.to_float().items())
     for edge in schedule.edge_list():
         tracker.step(edge, pairs[edge])
         if not tracker.min_entry() > eps:

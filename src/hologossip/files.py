@@ -68,19 +68,21 @@ def _edge_pair(raw, where: str):
     return int(raw[0]), int(raw[1])
 
 
+def _edge_list(doc: dict, key: str, where) -> list:
+    """The list of integer pairs under ``key``; absent reads as empty."""
+    raw = doc.get(key, [])
+    if not isinstance(raw, list):
+        raise FileFormatError(f"{where}: '{key}' must be a list of pairs")
+    return [_edge_pair(pair, f"{where}: {key}[{k}]") for k, pair in enumerate(raw)]
+
+
 def load_graph(path) -> Graph:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise FileFormatError(f"{path}: graph file must be a JSON object")
     if "n" not in doc or not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
         raise FileFormatError(f"{path}: missing integer field 'n'")
-    edges_raw = doc.get("edges", [])
-    if not isinstance(edges_raw, list):
-        raise FileFormatError(f"{path}: 'edges' must be a list of pairs")
-    edges = [
-        _edge_pair(raw, f"{path}: edges[{k}]") for k, raw in enumerate(edges_raw)
-    ]
-    return build_graph(doc["n"], edges)
+    return build_graph(doc["n"], _edge_list(doc, "edges", path))
 
 
 def load_weights(path, graph: Graph) -> WeightSet:
@@ -127,16 +129,9 @@ def schedule_from_dict(doc, graph: Graph, seed_override=None, where="schedule") 
     kind = doc["type"]
     try:
         if kind == "explicit":
-            edges = [
-                _edge_pair(raw, f"{where}: edges[{k}]")
-                for k, raw in enumerate(doc.get("edges", []))
-            ]
-            return Schedule.explicit(graph, edges)
+            return Schedule.explicit(graph, _edge_list(doc, "edges", where))
         if kind == "periodic":
-            period = [
-                _edge_pair(raw, f"{where}: period[{k}]")
-                for k, raw in enumerate(doc.get("period", []))
-            ]
+            period = _edge_list(doc, "period", where)
             reps = doc.get("repetitions")
             if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
                 raise FileFormatError(f"{where}: 'repetitions' must be a positive integer")

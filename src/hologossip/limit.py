@@ -13,12 +13,11 @@ module produces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 from .errors import NotHolonomic, UnrepresentableLimit
 from .graph import SpanningTree, normalize_edge, spanning_tree, spanning_tree_containing
-from .weights import TreePotentials, WeightSet, check_holonomy, is_exact, ratio
+from .weights import TreePotentials, WeightSet, check_holonomy, is_exact
 
 #: Max per-entry deviation tolerated by float-mode vector checks.
 VECTOR_TOL = 1e-12
@@ -99,7 +98,7 @@ def consensus_limit(ws: WeightSet, base: int = 1):
             witness=w,
         )
     t = spanning_tree(ws.graph, root=base)
-    pot = TreePotentials(t, partial(ratio, ws), ws.exact)
+    pot = TreePotentials(t, ws)
     return Potential(pot.values(), base), _normalized(pot)
 
 
@@ -111,7 +110,7 @@ def tree_vector(ws: WeightSet, t: SpanningTree) -> ProbabilityVector:
     to a tree there are no cycles to balance. For a cycle-balanced set every
     spanning tree yields the same vector as :func:`consensus_limit`.
     """
-    return _normalized(TreePotentials(t, partial(ratio, ws), ws.exact))
+    return _normalized(TreePotentials(t, ws))
 
 
 def verify_left_eigenvector(ws: WeightSet, p, tol: Optional[float] = None) -> bool:

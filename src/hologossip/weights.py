@@ -5,7 +5,9 @@ open interval (0, 1): a_ij is the weight agent i places on agent j's value
 during a pairwise update, and vice versa. A weight set is homogeneous in
 scalar kind: either every weight is an exact ``fractions.Fraction`` or every
 weight is a float. Exact sets make the cycle-balance decision exact; float
-sets fall back to a relative tolerance.
+sets fall back to a relative tolerance. ``EdgeTable`` keeps the one
+canonical-edge rule for every per-edge table: weight sets here, ratio
+vectors and box points in ``design``.
 """
 
 from __future__ import annotations
@@ -13,16 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .errors import InvalidWalk, MixedScalarKinds, UnknownEdge, WeightOutOfRange
 from .graph import Graph, SpanningTree, Walk, fundamental_cycle, spanning_tree
 
 Scalar = Union[Fraction, float]
 
-#: Relative tolerance for the cycle-balance decision in float mode. Exact
-#: sets are decided exactly.
+#: Relative tolerance on the cycle products of float weight sets and ratio
+#: vectors, |R - 1| <= HOLONOMY_TOL. Exact values are decided exactly.
 HOLONOMY_TOL = 1e-9
 
 
@@ -30,8 +31,7 @@ def is_exact(v) -> bool:
     return isinstance(v, (Fraction, int)) and not isinstance(v, bool)
 
 
-@dataclass(frozen=True)
-class EdgeWeights:
+class EdgeWeights(NamedTuple):
     """Weight pair for a canonical edge (i, j) with i < j.
 
     ``a_ij`` weights the influence of j on i; ``a_ji`` the influence of i
@@ -42,8 +42,69 @@ class EdgeWeights:
     a_ji: Scalar
 
 
-class WeightSet:
+class EdgeTable:
+    """One value per graph edge, stored under the canonical key (i, j), i < j.
+
+    Built from ``{(i, j): value}`` with keys in either orientation; a key
+    given as (j, i) stores ``_flip(value)``. Every edge must be given exactly
+    once. Subclasses supply ``noun``, the value check ``_check`` and
+    ``_flip``; the default flip keeps the value. ``exact`` holds when every
+    scalar is an exact rational, and fails on a table with no edges.
+    """
+
+    def __init__(self, graph: Graph, values):
+        store = {}
+        for key, v in values.items():
+            i, j = int(key[0]), int(key[1])
+            e = graph.require_edge(i, j)
+            if e in store:
+                raise UnknownEdge(f"edge ({i},{j}) given more than once")
+            v = self._check(v, e)
+            store[e] = self._flip(v) if i > j else v
+        if len(store) < len(graph.edges):
+            raise UnknownEdge(f"no {self.noun} for edges {sorted(graph.edges - set(store))}")
+        self.graph = graph
+        self._values = store
+        self._kinds = {is_exact(v) for v in self._scalars()}
+        self.exact = self._kinds == {True}
+
+    def _flip(self, v):
+        return v
+
+    def _scalars(self):
+        return self._values.values()
+
+    def value(self, edge):
+        """The stored value of an edge given in either orientation."""
+        return self._values[self.graph.require_edge(*edge)]
+
+    def get(self, i: int, j: int):
+        """The value read in the orientation (i, j)."""
+        v = self.value((i, j))
+        return v if i < j else self._flip(v)
+
+    def items(self):
+        """(edge, value) pairs in ascending edge order."""
+        return [(e, self._values[e]) for e in self.graph.sorted_edges]
+
+    def one(self) -> Scalar:
+        return Fraction(1) if self.exact else 1.0
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.graph == other.graph
+            and self._values == other._values
+        )
+
+    def __hash__(self):
+        return hash((self.graph, tuple(self.items())))
+
+
+class WeightSet(EdgeTable):
     """One weight pair per graph edge; immutable after construction."""
+
+    noun = "weights"
 
     def __init__(self, graph: Graph, pairs):
         """Build from ``{(i, j): (a_ij, a_ji)}`` with keys in either orientation.
@@ -51,52 +112,34 @@ class WeightSet:
         For a key given as (j, i) with j > i the pair is stored flipped so
         the canonical record keeps its meaning.
         """
-        store = {}
-        kinds = set()
-        for key, (a, b) in pairs.items():
-            i, j = int(key[0]), int(key[1])
-            e = graph.require_edge(i, j)
-            if e in store:
-                raise UnknownEdge(f"edge ({i},{j}) given more than once")
-            if i > j:
-                a, b = b, a
-            for v in (a, b):
-                if not (0 < v < 1):
-                    raise WeightOutOfRange(f"weight {v} on edge {e} outside (0,1)")
-                kinds.add("exact" if is_exact(v) else "float")
-            store[e] = EdgeWeights(a, b)
-        missing = set(graph.edges) - set(store)
-        if missing:
-            raise UnknownEdge(f"no weights for edges {sorted(missing)}")
-        if len(kinds) > 1:
+        super().__init__(graph, pairs)
+        if len(self._kinds) > 1:
             raise MixedScalarKinds("weight set mixes exact rationals and floats")
-        self.graph = graph
-        self.exact = kinds == {"exact"}
-        self._pairs = store
 
-    def pair(self, edge) -> EdgeWeights:
-        e = self.graph.require_edge(*edge)
-        return self._pairs[e]
+    def _check(self, pair, e):
+        for v in pair:
+            if not (0 < v < 1):
+                raise WeightOutOfRange(f"weight {v} on edge {e} outside (0,1)")
+        return EdgeWeights(*pair)
+
+    def _flip(self, w):
+        return EdgeWeights(w.a_ji, w.a_ij)
+
+    def _scalars(self):
+        return (v for w in self._values.values() for v in w)
+
+    pair = EdgeTable.value
+    #: (a_ij, a_ji) read in the orientation (i, j): the terms of the ratio.
+    terms = EdgeTable.get
 
     def weight(self, i: int, j: int) -> Scalar:
         """The weight a_ij that agent i places on agent j's value."""
-        rec = self.pair((i, j))
-        return rec.a_ij if i < j else rec.a_ji
-
-    def items(self):
-        """(edge, EdgeWeights) pairs in ascending edge order."""
-        return [(e, self._pairs[e]) for e in self.graph.sorted_edges]
+        return self.get(i, j).a_ij
 
     def to_float(self) -> "WeightSet":
         if not self.exact:
             return self
-        return WeightSet(
-            self.graph,
-            {e: (float(w.a_ij), float(w.a_ji)) for e, w in self._pairs.items()},
-        )
-
-    def one(self) -> Scalar:
-        return Fraction(1) if self.exact else 1.0
+        return WeightSet(self.graph, {e: tuple(map(float, w)) for e, w in self.items()})
 
 
 def standard_gossip(graph: Graph) -> WeightSet:
@@ -126,40 +169,53 @@ def local_matrix(ws: WeightSet, edge):
     return m
 
 
-def ratio(ws: WeightSet, i: int, j: int) -> Scalar:
-    """Directed ratio a_ij / a_ji; reciprocal under orientation swap."""
-    w = ws.pair((i, j))
-    return w.a_ij / w.a_ji if i < j else w.a_ji / w.a_ij
+def ratio(table, i: int, j: int) -> Scalar:
+    """Directed ratio of a weight set (a_ij / a_ji) or of a ratio vector, read
+    off ``table.terms``; reciprocal under orientation swap."""
+    num, den = table.terms(i, j)
+    return num / den
 
 
-def walk_ratio(ws: WeightSet, w) -> Scalar:
+def walk_ratio(table, w) -> Scalar:
     """Product of directed ratios along a walk; 1 for empty or single-node walks.
 
     Multiplicative over concatenation, and equal to 1 on any walk followed
     by its own inverse.
     """
     nodes = w.nodes if isinstance(w, Walk) else tuple(w)
-    value = ws.one()
+    value = table.one()
     for u, v in zip(nodes, nodes[1:]):
-        if not ws.graph.has_edge(u, v):
+        if not table.graph.has_edge(u, v):
             raise InvalidWalk(f"({u},{v}) is not an edge of the graph")
-        value = value * ratio(ws, u, v)
+        value = value * ratio(table, u, v)
     return value
 
 
 class TreePotentials:
     """Node potentials over one spanning tree, each computed once, from its parent's.
 
-    q_root = 1 and q_v = q_parent(v) * rfn(parent(v), v): the ratios of the
-    root-to-v tree walk, multiplied in walk order as walking it would. A
-    potential is filled in when first needed, so the whole tree costs n - 1
-    evaluations of ``rfn``. Exact sets keep q_v as a Fraction with exponent 0;
-    float sets as a ``math.frexp`` mantissa and exponent, which cannot overflow.
+    q_root = 1 and q_v = q_parent(v) * ratio(parent(v), v) over a weight set
+    or a ratio vector: the ratios of the root-to-v tree walk, multiplied in
+    walk order as walking it would. A potential is filled in when first
+    needed, so the whole tree costs n - 1 ratios. Exact sets keep q_v as a
+    Fraction with exponent 0; float sets as a ``math.frexp`` mantissa and
+    exponent, which cannot overflow.
     """
 
-    def __init__(self, t: SpanningTree, rfn: Callable, exact: bool):
-        self.t, self.rfn, self.exact = t, rfn, exact
-        self._q = {t.root: (Fraction(1), 0) if exact else math.frexp(1.0)}
+    def __init__(self, t: SpanningTree, table):
+        self.t, self.table, self.exact = t, table, table.exact
+        self._q = {t.root: (Fraction(1), 0) if self.exact else math.frexp(1.0)}
+
+    def _ratio(self, u: int, v: int) -> tuple:
+        """(mantissa, exponent) of the ratio u->v. Float terms are split apart
+        first, so a ratio past float64 is carried like any other; one that is
+        a normal float gets the bits of ``math.frexp(num / den)``."""
+        num, den = self.table.terms(u, v)
+        if self.exact:
+            return num / den, 0
+        (ma, ea), (mb, eb) = math.frexp(num), math.frexp(den)
+        m, k = math.frexp(ma / mb)
+        return m, ea - eb + k
 
     def __getitem__(self, v: int) -> tuple:
         """(mantissa, exponent) of q_v."""
@@ -169,13 +225,9 @@ class TreePotentials:
             w = self.t.parent[w]
         for w in reversed(chain):
             u = self.t.parent[w]
-            (m, e), r = self._q[u], self.rfn(u, w)
-            if self.exact:
-                self._q[w] = (m * r, 0)
-            else:
-                mr, er = math.frexp(r)
-                m, k = math.frexp(m * mr)
-                self._q[w] = (m, e + er + k)
+            (m, e), (mr, er) = self._q[u], self._ratio(u, w)
+            m, k = (m * mr, 0) if self.exact else math.frexp(m * mr)
+            self._q[w] = (m, e + er + k)
         return self._q[v]
 
     def values(self, top: bool = False) -> tuple:
@@ -187,24 +239,23 @@ class TreePotentials:
         s = max(e for _, e in q) - 1 if top else 0
         return tuple(math.ldexp(m, e - s) if e - s <= 1024 else math.inf for m, e in q)
 
-    def residuals(self, g: Graph, tol: float = HOLONOMY_TOL) -> tuple:
+    def residuals(self) -> tuple:
         """(failing, margin) over the non-tree edges (i, j), in ascending order.
 
         Each closes the fundamental cycle i..j-i, whose ratio product is the
-        residual R = q_j * rfn(j, i) / q_i; exact sets test R == 1, floats
-        |R - 1| <= ``tol``. ``failing`` is the first edge that fails, or None;
-        ``margin`` the worst |log R|, 0.0 on a tree.
+        residual R = q_j * ratio(j, i) / q_i; exact sets test R == 1, floats
+        |R - 1| <= HOLONOMY_TOL. ``failing`` is the first edge that fails, or
+        None; ``margin`` the worst |log R|, 0.0 on a tree.
         """
         failing, margin = None, 0.0
-        for i, j in (e for e in g.sorted_edges if e not in self.t.edges):
-            (mi, ei), (mj, ej), r = self[i], self[j], self.rfn(j, i)
+        for i, j in (e for e in self.table.graph.sorted_edges if e not in self.t.edges):
+            (mi, ei), (mj, ej), (mr, er) = self[i], self[j], self._ratio(j, i)
             if self.exact:
-                num, den = (mj * r / mi).as_integer_ratio()
+                num, den = (mj * mr / mi).as_integer_ratio()
                 ok, log_r = num == den, math.log(num) - math.log(den)
             else:
-                mr, er = math.frexp(r)
                 x, k = mj * mr / mi, ej + er - ei  # R = x * 2**k
-                ok = abs(k) < 4 and abs(math.ldexp(x, k) - 1.0) <= tol
+                ok = abs(k) < 4 and abs(math.ldexp(x, k) - 1.0) <= HOLONOMY_TOL
                 log_r = math.log(x) + k * math.log(2.0)
             margin = max(margin, abs(log_r))
             if failing is None and not ok:
@@ -227,22 +278,22 @@ class HolonomyReport:
     margin: float = 0.0  # worst |log R| over the fundamental cycles; 0.0 for a tree
 
 
-def check_holonomy(ws: WeightSet) -> HolonomyReport:
+def check_holonomy(table) -> HolonomyReport:
     """Decide whether every cycle has ratio product one, in O(n + m).
 
-    :meth:`TreePotentials.residuals` over the breadth-first tree rooted at
-    node 1 tests the fundamental cycles, which determine the product over
-    every cycle: walk products are multiplicative over concatenation and
-    cancel on back-and-forth steps. Float sets use |R - 1| <= HOLONOMY_TOL.
-    Only the first failing cycle is built, as the witness, with its ratio
-    from :func:`walk_ratio`.
+    Works on a weight set or a ratio vector. :meth:`TreePotentials.residuals`
+    over the breadth-first tree rooted at node 1 tests the fundamental
+    cycles, which determine the product over every cycle: walk products are
+    multiplicative over concatenation and cancel on back-and-forth steps.
+    Float values use |R - 1| <= HOLONOMY_TOL. Only the first failing cycle
+    is built, as the witness, with its ratio from :func:`walk_ratio`.
     """
-    t = spanning_tree(ws.graph, root=1)
-    failing, margin = TreePotentials(t, partial(ratio, ws), ws.exact).residuals(ws.graph)
+    t = spanning_tree(table.graph, root=1)
+    failing, margin = TreePotentials(t, table).residuals()
     if failing is None:
         return HolonomyReport(True, None, margin)
     cycle = fundamental_cycle(t, *failing)
-    return HolonomyReport(False, HolonomyWitness(cycle, walk_ratio(ws, cycle)), margin)
+    return HolonomyReport(False, HolonomyWitness(cycle, walk_ratio(table, cycle)), margin)
 
 
 def min_weight(ws: WeightSet) -> Scalar:
@@ -251,12 +302,7 @@ def min_weight(ws: WeightSet) -> Scalar:
     Equals the minimum of {a, 1-a} over every directed weight. For a graph
     with no edges the only product is the identity, so the floor is 1.
     """
-    values = []
-    for _, w in ws.items():
-        values.extend((w.a_ij, 1 - w.a_ij, w.a_ji, 1 - w.a_ji))
-    if not values:
-        return ws.one()
-    return min(values)
+    return min((v for a in ws._scalars() for v in (a, 1 - a)), default=ws.one())
 
 
 def entry_floor(ws: WeightSet) -> Scalar:

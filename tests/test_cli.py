@@ -94,6 +94,10 @@ def test_schedule_files(workdir):
     assert s.seed == 3
     with pytest.raises(errors.FileFormatError, match="neg.json: seed must be >= 0"):
         files.load_schedule(write("neg.json", {"type": "random", "steps": 10, "seed": -1}), g)
+    with pytest.raises(errors.FileFormatError, match="e5.json: 'edges' must be a list"):
+        files.load_schedule(write("e5.json", {"type": "explicit", "edges": 5}), g)
+    with pytest.raises(errors.FileFormatError, match="p5.json: 'period' must be a list"):
+        files.load_schedule(write("p5.json", {"type": "periodic", "period": 5, "repetitions": 2}), g)
 
 
 def test_trace_and_report_formats(balanced_float, triangle, tmp_path):
@@ -276,6 +280,10 @@ def test_cmd_simulate_config_errors(workdir):
     ["simulate", "{g}", "{w}", "--schedule", "{negseed}"],
     ["simulate", "{g}", "{w}", "--schedule", "{strseed}"],
     ["design", "{g}", "--target", "0.5,0.3,0.2", "--seed", "-3"],
+    ["simulate", "{g}", "{w}", "--random-steps", "100", "--seed", "1", "--tol", "2"],
+    ["simulate", "{g}", "{w}", "--random-steps", "100", "--seed", "1", "--tol", "inf"],
+    ["simulate", "{g}", "{w}", "--schedule", "{edges5}"],
+    ["simulate", "{g}", "{w}", "--schedule", "{period5}"],
 ])
 def test_cli_rejects_bad_numbers_with_exit_2(workdir, capsys, argv):
     _, write = workdir
@@ -284,12 +292,28 @@ def test_cli_rejects_bad_numbers_with_exit_2(workdir, capsys, argv):
         "w": write("w.json", BALANCED_RATIONAL),
         "negseed": write("neg.json", {"type": "random", "steps": 10, "seed": -1}),
         "strseed": write("str.json", {"type": "random", "steps": 10, "seed": "x"}),
+        "edges5": write("edges5.json", {"type": "explicit", "edges": 5}),
+        "period5": write("period5.json", {"type": "periodic", "period": 5, "repetitions": 2}),
     }
     assert main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("pair", [(0.5, 5e-324), (5e-324, 0.5)])
+def test_limit_with_overflowing_ratio_is_base_independent(workdir, capsys, pair):
+    # the directed ratio 0.5 / 5e-324 = 2**1073 is past float64; the limit is not
+    _, write = workdir
+    g = write("g.json", {"n": 2, "edges": [[1, 2]]})
+    w = write("w.json", [{"edge": [1, 2], "a_ij": pair[0], "a_ji": pair[1]}])
+    outs = []
+    for base in ("1", "2"):
+        assert main(["limit", g, w, "--base", base]) == 0
+        outs.append(capsys.readouterr().out)
+    tiny = "9.88131291682493e-324"
+    assert outs == [f"{tiny} 1\n" if pair[0] == 0.5 else f"1 {tiny}\n"] * 2
 
 
 def test_cmd_witness(workdir, capsys):

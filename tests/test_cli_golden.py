@@ -1,0 +1,165 @@
+"""Golden CLI outputs: exit code, stdout, stderr and written files of fixed
+commands on small inputs, compared with ``golden_cli.json``.
+
+The inputs are written to a temporary directory and the commands run there
+with relative paths, so the recorded output holds no absolute path. Written
+files are compared by SHA-256. ``python tests/test_cli_golden.py`` records
+the expectations again from the current sources.
+"""
+
+import hashlib
+import io
+import json
+import os
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from hologossip.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def _text(v) -> str:
+    return f"{v.numerator}/{v.denominator}"
+
+
+def _cycle_weights(n: int, exact: bool, perturb: bool = False) -> list:
+    """Balanced weights on the n-cycle with limit proportional to 1..n: on edge
+    (i, j) the ratio a_ij/a_ji is j/i, the larger weight is 1/2. With
+    ``perturb`` the chord (1, n) gets a_ij scaled by 3/4."""
+    recs = []
+    for i, j in [(k, k + 1) for k in range(1, n)] + [(1, n)]:
+        r = F(j, i)
+        a, b = (r / 2, F(1, 2)) if r <= 1 else (F(1, 2), 1 / (2 * r))
+        if perturb and (i, j) == (1, n):
+            a = a * F(3, 4)
+        recs.append({"edge": [i, j], "a_ij": _text(a) if exact else float(a),
+                     "a_ji": _text(b) if exact else float(b)})
+    return recs
+
+
+def _triangle_weights(pairs: dict, exact: bool) -> list:
+    return [{"edge": list(e), "a_ij": _text(a) if exact else float(a),
+             "a_ji": _text(b) if exact else float(b)} for e, (a, b) in pairs.items()]
+
+
+BALANCED = {(1, 2): (F(1, 5), F(3, 10)), (2, 3): (F(1, 4), F(1, 2)), (1, 3): (F(1, 5), F(3, 5))}
+UNBALANCED = {(1, 2): (F(1, 2), F(1, 2)), (2, 3): (F(1, 2), F(1, 2)), (1, 3): (F(1, 5), F(2, 5))}
+
+INPUTS = {
+    "tri.json": {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]},
+    "path4.json": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
+    "cyc50.json": {"n": 50, "edges": [[k, k + 1] for k in range(1, 50)] + [[1, 50]]},
+    "bal_exact.json": _triangle_weights(BALANCED, True),
+    "bal_float.json": _triangle_weights(BALANCED, False),
+    "unbal_exact.json": _triangle_weights(UNBALANCED, True),
+    "unbal_float.json": _triangle_weights(UNBALANCED, False),
+    "c50_exact.json": _cycle_weights(50, True),
+    "c50_float.json": _cycle_weights(50, False),
+    "c50_unbal_exact.json": _cycle_weights(50, True, perturb=True),
+    "c50_unbal_float.json": _cycle_weights(50, False, perturb=True),
+    "explicit.json": {"type": "explicit", "edges": [[1, 2], [3, 2], [1, 3], [2, 1]]},
+    "periodic.json": {"type": "periodic", "period": [[1, 2], [2, 3], [1, 3]], "repetitions": 400},
+    "random.json": {"type": "random", "steps": 5000, "seed": 11},
+    "dup.json": _triangle_weights(BALANCED, False) + [{"edge": [2, 1], "a_ij": 0.3, "a_ji": 0.2}],
+    "short.json": _triangle_weights(BALANCED, True)[:2],
+    "range.json": [{"edge": [1, 2], "a_ij": 1.5, "a_ji": 0.3}] + _triangle_weights(BALANCED, False)[1:],
+}
+RAW_INPUTS = {"broken.json": '{"n": 3,\n "edges": [[1, 2],]}'}
+
+#: (argv, files the command writes)
+COMMANDS = [
+    (["check", "tri.json", "bal_exact.json"], []),
+    (["check", "tri.json", "bal_float.json"], []),
+    (["check", "tri.json", "unbal_exact.json"], []),
+    (["check", "tri.json", "unbal_float.json"], []),
+    (["limit", "tri.json", "bal_exact.json"], []),
+    (["limit", "tri.json", "bal_float.json"], []),
+    (["limit", "tri.json", "bal_float.json", "--base", "3"], []),
+    (["limit", "tri.json", "unbal_exact.json"], []),
+    (["witness", "tri.json", "bal_exact.json"], []),
+    (["witness", "tri.json", "unbal_exact.json"], []),
+    (["witness", "tri.json", "unbal_float.json"], []),
+    (["check", "cyc50.json", "c50_exact.json"], []),
+    (["check", "cyc50.json", "c50_unbal_float.json"], []),
+    (["limit", "cyc50.json", "c50_exact.json"], []),
+    (["limit", "cyc50.json", "c50_float.json"], []),
+    (["limit", "cyc50.json", "c50_float.json", "--base", "25"], []),
+    (["limit", "cyc50.json", "c50_unbal_float.json"], []),
+    (["witness", "cyc50.json", "c50_unbal_exact.json"], []),
+    (["witness", "cyc50.json", "c50_unbal_float.json"], []),
+    (["design", "tri.json", "--target", "1/2,1/3,1/6", "--x", "3/10,3/5,1/2"], []),
+    (["design", "tri.json", "--target", "0.5 0.3 0.2", "--seed", "4", "-o", "d.json"],
+     ["d.json"]),
+    (["design", "path4.json", "--target", "0.1,0.2,0.3,0.4", "--x", "0.5,0.25,0.75"], []),
+    (["simulate", "tri.json", "bal_float.json", "--schedule", "explicit.json"], []),
+    (["simulate", "tri.json", "bal_float.json", "--schedule", "periodic.json",
+      "--trace", "p.tsv", "--report", "p.json"], ["p.tsv", "p.json"]),
+    (["simulate", "tri.json", "bal_exact.json", "--random-steps", "5000", "--seed", "7",
+      "--trace", "r.tsv", "--report", "r.json"], ["r.tsv", "r.json"]),
+    (["simulate", "tri.json", "bal_float.json", "--schedule", "random.json", "--tol", "1e-6"],
+     []),
+    (["simulate", "tri.json", "unbal_float.json", "--schedule", "periodic.json"], []),
+    (["check", "tri.json", "missing.json"], []),
+    (["check", "broken.json", "bal_float.json"], []),
+    (["limit", "tri.json", "dup.json"], []),
+    (["limit", "tri.json", "short.json"], []),
+    (["check", "tri.json", "range.json"], []),
+    (["simulate", "tri.json", "bal_float.json", "--random-steps", "100"], []),
+    (["design", "tri.json", "--target", "1/2,1/2", "--seed", "1"], []),
+]
+
+
+def _run(argv, written) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return {
+        "argv": argv,
+        "code": code,
+        "stdout": out.getvalue(),
+        "stderr": err.getvalue(),
+        "files": {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                  for name in written},
+    }
+
+
+def _outputs(directory: Path) -> list:
+    for name, doc in INPUTS.items():
+        (directory / name).write_text(json.dumps(doc))
+    for name, text in RAW_INPUTS.items():
+        (directory / name).write_text(text)
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        return [_run(argv, written) for argv, written in COMMANDS]
+    finally:
+        os.chdir(cwd)
+
+
+@pytest.fixture(scope="module")
+def outputs(tmp_path_factory):
+    return _outputs(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.fixture(scope="module")
+def expected():
+    recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert len(recorded) == len(COMMANDS)
+    return recorded
+
+
+@pytest.mark.parametrize("k", range(len(COMMANDS)))
+def test_cli_output_matches_golden(outputs, expected, k):
+    assert outputs[k] == expected[k]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        text = json.dumps(_outputs(Path(tmp)), indent=1, ensure_ascii=False) + "\n"
+        GOLDEN.write_text(text, encoding="utf-8")

@@ -188,6 +188,8 @@ def test_box_point_validation(triangle):
         BoxPoint.from_sequence(triangle, [F(1, 2)] * 2)
     with pytest.raises(errors.UnknownEdge):
         BoxPoint(triangle, {(1, 2): F(1, 2)})
+    with pytest.raises(errors.UnknownEdge):  # an edge given in both orientations
+        BoxPoint(triangle, {(1, 2): F(1, 2), (2, 3): F(1, 2), (1, 3): F(1, 2), (2, 1): F(1, 3)})
 
 
 def test_ratio_vector_validation(triangle):
@@ -195,6 +197,8 @@ def test_ratio_vector_validation(triangle):
         RatioVector(triangle, {(1, 2): F(-1), (2, 3): F(1), (1, 3): F(1)})
     with pytest.raises(errors.UnknownEdge):
         RatioVector(triangle, {(1, 2): F(1)})
+    with pytest.raises(errors.UnknownEdge):  # even with consistent reciprocal values
+        RatioVector(triangle, {(1, 2): F(2), (2, 3): F(1), (1, 3): F(1), (2, 1): F(1, 2)})
     # reciprocal orientations are accepted and canonicalized
     y = RatioVector(triangle, {(2, 1): F(3, 2), (2, 3): F(1, 2), (1, 3): F(1, 3)})
     assert y.get(1, 2) == F(2, 3)

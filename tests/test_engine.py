@@ -21,7 +21,7 @@ from hologossip.engine import (
     run,
     seminorm,
 )
-from hologossip.graph import build_graph
+from hologossip.graph import UnionFind, build_graph
 from hologossip.limit import verify_left_eigenvector
 from hologossip.weights import EdgeWeights, WeightSet, entry_floor, local_matrix
 
@@ -175,6 +175,45 @@ def test_classify_random(triangle):
 def test_classify_three_edge_period_is_two_spanning(triangle):
     info = classify_schedule(Schedule.periodic(triangle, [(1, 2), (2, 3), (1, 3)], 5))
     assert info.m_spanning == 2
+
+
+def _spans(n, edges):
+    uf = UnionFind(n)
+    for e in edges:
+        uf.union(*e)
+    return uf.components == 1
+
+
+def _tripled_period_window(n, period):
+    """The window scan ``classify_schedule`` used to run, kept as the
+    reference: every offset within one period, over a tripled period."""
+    tripled, length = period * 3, len(period)
+    for m in range(1, 2 * length + 1):
+        if all(_spans(n, tripled[o : o + m]) for o in range(length)):
+            return m
+    return None
+
+
+def test_classify_window_matches_tripled_period_scan():
+    rng = np.random.default_rng(71)
+    spanning = 0
+    for k in range(400):
+        n = 2 + int(rng.integers(0, 6))
+        g = random_connected_graph(rng, n, extra=int(rng.integers(0, n)))
+        edges = g.sorted_edges
+        if k % 2:  # every edge once in a random order, plus random repeats
+            period = [edges[int(i)] for i in rng.permutation(len(edges))]
+            for _ in range(int(rng.integers(0, n))):
+                period.insert(int(rng.integers(0, len(period) + 1)),
+                              edges[int(rng.integers(0, len(edges)))])
+        else:
+            period = [edges[int(i)] for i in rng.integers(0, len(edges), int(rng.integers(1, 3 * n)))]
+        period = tuple(period)
+        info = classify_schedule(Schedule.periodic(g, period, 1))
+        assert info.spanning == _spans(n, period)
+        assert info.m_spanning == (_tripled_period_window(n, period) if info.spanning else None)
+        spanning += info.spanning
+    assert spanning >= 250
 
 
 def test_run_two_node_closed_form():

@@ -127,13 +127,13 @@ def test_limit_work_is_linear_on_long_cycle(monkeypatch):
     g = cycle_graph(n)
     ws = design_for([1 / n] * n, g, sample_box_point(g, seed=3))
     calls = []
-    pair = WeightSet.pair
+    terms = WeightSet.terms
 
-    def counting_pair(self, edge):
-        calls.append(edge)
-        return pair(self, edge)
+    def counting_terms(self, i, j):
+        calls.append((i, j))
+        return terms(self, i, j)
 
-    monkeypatch.setattr(WeightSet, "pair", counting_pair)
+    monkeypatch.setattr(WeightSet, "terms", counting_terms)
     consensus_limit(ws, base=n // 2)
     assert 0 < len(calls) <= 2 * (n + len(g.edges))  # a directed ratio reads one pair
 
