@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -117,6 +118,11 @@ def random_local_product(rng, ws: WeightSet, steps: int) -> np.ndarray:
 
 # -- criteria ------------------------------------------------------------------
 
+def _worst_pairwise_gap(estimates) -> float:
+    """Largest entry difference over all pairs of estimates."""
+    return max(max(abs(x - y) for x, y in zip(a, b)) for a, b in combinations(estimates, 2))
+
+
 @dataclass(frozen=True)
 class AcceptanceResult:
     passed: bool
@@ -159,9 +165,7 @@ def criterion_order_independence() -> AcceptanceResult:
     """20 random seeds and 3 periodic spanning schedules agree pairwise."""
     g = triangle()
     ws = WeightSet(g, BALANCED_TRIANGLE)
-    estimates = []
-    for seed in range(20):
-        estimates.append(run(ws, Schedule.random(g, seed=seed, steps=10_000)).p_hat)
+    estimates = [run(ws, Schedule.random(g, seed=seed, steps=10_000)).p_hat for seed in range(20)]
     periods = [
         [(1, 2), (2, 3)],
         [(1, 2), (2, 3), (1, 3)],
@@ -170,13 +174,7 @@ def criterion_order_independence() -> AcceptanceResult:
     for period in periods:
         reps = 10_000 // len(period) + 1
         estimates.append(run(ws, Schedule.periodic(g, period, reps)).p_hat)
-    worst = 0.0
-    for a in range(len(estimates)):
-        for b in range(a + 1, len(estimates)):
-            worst = max(
-                worst,
-                max(abs(x - y) for x, y in zip(estimates[a], estimates[b])),
-            )
+    worst = _worst_pairwise_gap(estimates)
     return AcceptanceResult(
         worst <= 1e-8, f"23 runs, worst pairwise gap {worst:.2e} (<=1e-8)"
     )
@@ -293,13 +291,7 @@ def criterion_fiber_property() -> AcceptanceResult:
         run(ws.to_float(), Schedule.random(g, seed=99, steps=20_000)).p_hat
         for ws in sets
     ]
-    worst = 0.0
-    for a in range(len(estimates)):
-        for b in range(a + 1, len(estimates)):
-            worst = max(
-                worst,
-                max(abs(x - y) for x, y in zip(estimates[a], estimates[b])),
-            )
+    worst = _worst_pairwise_gap(estimates)
     passed = distinct == 10 and worst <= 1e-8
     return AcceptanceResult(
         passed,

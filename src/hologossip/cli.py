@@ -105,7 +105,7 @@ def cmd_design(args) -> int:
         print("error: target must lie strictly inside the simplex", file=sys.stderr)
         return EXIT_NEGATIVE
     total = sum(target)
-    if abs(float(total) - 1.0) > 1e-9:
+    if not abs(float(total) - 1.0) <= 1e-9:  # also NaN
         raise FileFormatError(f"--target: entries sum to {float(total)}, not 1")
     target = [v / total for v in target]  # exact renormalization in rational mode
 

@@ -11,11 +11,14 @@ limit.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonInteriorVector, NotBalanced, ParameterOutOfRange, UnknownEdge
+from .errors import (NonInteriorVector, NotBalanced, ParameterOutOfRange, UnknownEdge,
+                     WeightOutOfRange)
 from .graph import Graph, spanning_tree
 from .limit import ProbabilityVector, tree_vector
 from .weights import EdgeTable, WeightSet, check_holonomy, is_exact, ratio
@@ -58,17 +61,19 @@ def weight_ratios(ws: WeightSet) -> RatioVector:
 def distribution_ratios(p, g: Graph) -> RatioVector:
     """Entrywise quotients p_j / p_i over directed edges of ``g``.
 
-    The result is balanced around every cycle. Raises NonInteriorVector if
-    any entry is not strictly positive.
+    The result is balanced around every cycle. When a float quotient is past
+    float64, every quotient is taken exactly, as a Fraction of two floats.
+    Raises NonInteriorVector if any entry is not positive and finite.
     """
     entries = p.entries if isinstance(p, ProbabilityVector) else tuple(p)
     if len(entries) != g.n:
         raise NonInteriorVector(f"vector has {len(entries)} entries for {g.n} nodes")
-    if any(v <= 0 for v in entries):
-        raise NonInteriorVector("target vector must be strictly positive")
-    return RatioVector(
-        g, {(i, j): entries[j - 1] / entries[i - 1] for i, j in g.sorted_edges}
-    )
+    if any(not 0 < v < math.inf for v in entries):
+        raise NonInteriorVector("target vector must be strictly positive and finite")
+    ratios = {(i, j): entries[j - 1] / entries[i - 1] for i, j in g.sorted_edges}
+    if math.inf in ratios.values():
+        ratios = {e: Fraction(entries[e[1] - 1]) / Fraction(entries[e[0] - 1]) for e in ratios}
+    return RatioVector(g, ratios)
 
 
 def distribution_from_ratios(y: RatioVector) -> ProbabilityVector:
@@ -129,19 +134,23 @@ def weights_from_ratios(y: RatioVector, x: BoxPoint) -> WeightSet:
     Per edge with ratio r and parameter t the pair is (r*t, t) when r <= 1
     and (t, t/r) otherwise; either way both weights stay inside (0, 1) and
     their quotient is exactly r. Distinct box points select distinct weight
-    sets.
+    sets. Float mode takes t/r of a ratio past float64 in one rounding, and
+    raises WeightOutOfRange when a weight underflows to zero.
     """
     if y.graph != x.graph:
         raise UnknownEdge("ratio vector and box point use different graphs")
     exact = y.exact and x.exact
     pairs = {}
     for (e, r), (_, t) in zip(y.items(), x.items()):
-        if not exact:
-            r, t = float(r), float(t)
-        if r <= 1:
-            pairs[e] = (r * t, t)
+        if exact:
+            pairs[e] = (r * t, t) if r <= 1 else (t, t / r)
+        elif r > sys.float_info.max:
+            pairs[e] = (float(t), float(Fraction(t) / r))
         else:
-            pairs[e] = (t, t / r)
+            r, t = float(r), float(t)
+            pairs[e] = (r * t, t) if r <= 1 else (t, t / r)
+        if 0 in pairs[e]:
+            raise WeightOutOfRange(f"edge {e} needs a weight below the float64 range")
     return WeightSet(y.graph, pairs)
 
 

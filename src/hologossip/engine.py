@@ -21,14 +21,17 @@ with eps = min_weight ** (n - 1).
 
 Reproducibility: random schedules draw edge indices with numpy's PCG64
 generator seeded from the schedule's 64-bit seed; for a fixed numpy
-version the draw is bit-identical across platforms. The engine always
-simulates in float64 regardless of the weight kind.
+version the draw is bit-identical across platforms. Indices are drawn in
+fixed chunks of DRAW_CHUNK as the run consumes them, which gives the same
+stream as one draw of the whole step count (tested), so schedule memory
+does not depend on the step count. The engine always simulates in float64
+regardless of the weight kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -43,6 +46,9 @@ DEFAULT_TOL = 1e-10
 #: a few ulps, while the certificate keeps shrinking geometrically, so past
 #: this resolution the raw comparison would only measure rounding noise.
 LEDGER_RESOLUTION = 1e-15
+
+#: Random schedules draw this many edge indices at a time.
+DRAW_CHUNK = 4096
 
 #: Trace recording policy: every step up to this bound, ...
 DENSE_RECORD_LIMIT = 1000
@@ -101,16 +107,20 @@ class Schedule:
             return len(self.period) * self.repetitions
         return self.steps
 
-    def edge_list(self) -> list:
-        """Materialize the full edge sequence."""
+    def edge_list(self) -> Iterator[tuple]:
+        """Yield the edge sequence in order; random edges are drawn DRAW_CHUNK at a time."""
         if self.kind == "explicit":
-            return list(self.edges)
-        if self.kind == "periodic":
-            return list(self.period) * self.repetitions
-        rng = np.random.Generator(np.random.PCG64(self.seed))
-        order = self.graph.sorted_edges
-        idx = rng.integers(0, len(order), size=self.steps)
-        return [order[k] for k in idx]
+            yield from self.edges
+        elif self.kind == "periodic":
+            for _ in range(self.repetitions):
+                yield from self.period
+        else:
+            rng = np.random.Generator(np.random.PCG64(self.seed))
+            order = self.graph.sorted_edges
+            for start in range(0, self.steps, DRAW_CHUNK):
+                size = min(DRAW_CHUNK, self.steps - start)
+                for k in rng.integers(0, len(order), size=size).tolist():
+                    yield order[k]
 
 
 @dataclass(frozen=True)
@@ -284,18 +294,16 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
 
     s = tracker.seminorm()
     converged = s < opts.tol
-    last_edge = None
     for edge in schedule.edge_list():
         if converged:
             break
         tracker.step(edge, pairs[edge])
-        last_edge = edge
         s = tracker.seminorm()
         converged = s < opts.tol
         if _should_record(tracker.t) or converged:
             record(edge, s)
-    if last_edge is not None and (not trace or trace[-1].t != tracker.t):
-        record(last_edge, s)
+    if tracker.t and trace[-1].t != tracker.t:  # ran out unrecorded: edge was the last step
+        record(edge, s)
 
     p_hat = tracker.P.mean(axis=0)
     return RunReport(

@@ -60,7 +60,11 @@ class UnrepresentableLimit(HologossipError):
 
 
 class NonInteriorVector(HologossipError):
-    """Raised on a target vector with a nonpositive entry."""
+    """Raised on an empty vector, a nonpositive or NaN entry, or a wrong length."""
+
+
+class NotUnitSum(HologossipError):
+    """Raised on a probability vector whose entries do not sum to one."""
 
 
 class NotBalanced(HologossipError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import NotHolonomic, UnrepresentableLimit
+from .errors import NonInteriorVector, NotHolonomic, NotUnitSum, UnrepresentableLimit
 from .graph import SpanningTree, normalize_edge, spanning_tree, spanning_tree_containing
 from .weights import TreePotentials, WeightSet, check_holonomy, is_exact
 
@@ -32,10 +32,10 @@ class ProbabilityVector:
     def __post_init__(self):
         # written as "not ... > / <=" so that NaN entries fail both tests
         if not self.entries or any(not v > 0 for v in self.entries):
-            raise ValueError("entries must be strictly positive")
+            raise NonInteriorVector("entries must be strictly positive")
         total = sum(self.entries)
         if total != 1 if self.exact else not abs(total - 1.0) <= VECTOR_TOL:
-            raise ValueError(f"entries sum to {total}, not 1")
+            raise NotUnitSum(f"entries sum to {total}, not 1")
 
     def __len__(self):
         return len(self.entries)
@@ -124,7 +124,7 @@ def verify_left_eigenvector(ws: WeightSet, p, tol: Optional[float] = None) -> bo
     """
     entries = p.entries if isinstance(p, ProbabilityVector) else tuple(p)
     if len(entries) != ws.graph.n:
-        raise ValueError(f"vector has {len(entries)} entries for {ws.graph.n} nodes")
+        raise NonInteriorVector(f"vector has {len(entries)} entries for {ws.graph.n} nodes")
     exact = tol is None and ws.exact and all(map(is_exact, entries))
     limit = VECTOR_TOL if tol is None else tol
     for i, j in ws.graph.sorted_edges:

@@ -234,7 +234,42 @@ def test_cmd_design_rejects_boundary_and_bad_sum(workdir):
     g = write("g.json", TRIANGLE_GRAPH)
     assert main(["design", g, "--target", "1/2,1/2,0", "--seed", "1"]) == 1
     assert main(["design", g, "--target", "0.5,0.4,0.3", "--seed", "1"]) == 2
+    assert main(["design", g, "--target", "nan,0.5,0.5", "--seed", "1"]) == 2
     assert main(["design", g, "--target", "1/2,1/3,1/6"]) == 2  # no x, no seed
+
+
+@pytest.mark.parametrize("target, tiny_edges", [
+    ("5e-324,0.5,0.5", {(1, 2): 1, (1, 3): 1}),  # p_j / p_i = inf: the weight a_ji is tiny
+    ("0.5,5e-324,0.5", {(1, 2): 0, (2, 3): 1}),  # both orders on one target
+    ("1e-300,0.5,0.5", {(1, 2): 1, (1, 3): 1}),  # no overflow: the output of before
+], ids=["5e-324-first", "5e-324-second", "1e-300-first"])
+def test_cmd_design_tiny_target_entry(workdir, capsys, tmp_path, target, tiny_edges):
+    _, write = workdir
+    g = write("g.json", TRIANGLE_GRAPH)
+    out = str(tmp_path / "designed.json")
+    assert main(["design", g, "--target", target, "--x", "0.5,0.5,0.5", "-o", out]) == 0
+    tiny = min(map(float, target.split(",")))
+    for rec in json.loads(open(out).read()):
+        pair = [0.5, 0.5]
+        if tuple(rec["edge"]) in tiny_edges:
+            pair[tiny_edges[tuple(rec["edge"])]] = tiny
+        assert [rec["a_ij"], rec["a_ji"]] == pair
+    assert main(["limit", g, out]) == 0
+    assert capsys.readouterr().out == " ".join(
+        "4.94065645841247e-324" if v == "5e-324" else v for v in target.split(",")) + "\n"
+
+
+@pytest.mark.parametrize("target, x, edge", [
+    ("5e-324,0.5,0.5", "0.2,0.2,0.2", "(1, 2)"),  # t * p_1 / p_2 = 2e-324
+    ("0.5,0.5,5e-324", "0.2,0.2,0.2", "(1, 3)"),  # t * p_3 / p_1 = 2e-324
+    (f"1/{10**400},1/2,1/2", "0.5,0.5,0.5", "(1, 2)"),  # exact target, float x
+], ids=["tiny-p_i", "tiny-p_j", "exact-target"])
+def test_cmd_design_unrepresentable_weight_exits_2(workdir, capsys, target, x, edge):
+    _, write = workdir
+    g = write("g.json", TRIANGLE_GRAPH)
+    assert main(["design", g, "--target", target, "--x", x]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: edge {edge} needs a weight below the float64 range\n"
 
 
 def test_cmd_simulate_and_reports(workdir, tmp_path, capsys):

@@ -68,6 +68,21 @@ def test_distribution_ratios_rejects_boundary(triangle):
         distribution_ratios([F(1, 2), F(1, 2), F(0)], triangle)
     with pytest.raises(errors.NonInteriorVector):
         distribution_ratios([F(1, 2), F(1, 2)], triangle)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(errors.NonInteriorVector):
+            distribution_ratios([0.5, 0.5, bad], triangle)
+
+
+def test_distribution_ratios_past_float64_are_exact(triangle):
+    # 0.5 / 5e-324 = 2**1073 is past float64; every quotient is then a Fraction
+    p = [5e-324, 0.5, 0.5]
+    y = distribution_ratios(p, triangle)
+    assert y.exact and y.get(1, 2) == 2**1073
+    assert distribution_from_ratios(y).entries == tuple(F(v) / sum(map(F, p)) for v in p)
+    ws = weights_from_ratios(y, BoxPoint.uniform(triangle, 0.5))
+    assert ws.items() == [((1, 2), (0.5, 5e-324)), ((1, 3), (0.5, 5e-324)), ((2, 3), (0.5, 0.5))]
+    with pytest.raises(errors.WeightOutOfRange):
+        weights_from_ratios(y, BoxPoint.uniform(triangle, 0.2))
 
 
 def test_distribution_from_ratios_round_trip(triangle):

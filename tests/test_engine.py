@@ -9,8 +9,10 @@ from hologossip.acceptance import (
     random_connected_graph,
     random_float_weights,
     random_local_product,
+    random_rational_weights,
 )
 from hologossip.engine import (
+    DRAW_CHUNK,
     ProductTracker,
     RunOptions,
     Schedule,
@@ -271,14 +273,89 @@ def test_run_bound_ledger_clean_on_periodic(balanced_float, triangle):
 def test_run_random_schedules_reproducible(balanced_float):
     g = balanced_float.graph
     s = Schedule.random(g, seed=21, steps=500)
-    assert s.edge_list() == Schedule.random(g, seed=21, steps=500).edge_list()
-    assert s.edge_list() != Schedule.random(g, seed=22, steps=500).edge_list()
+    assert list(s.edge_list()) == list(Schedule.random(g, seed=21, steps=500).edge_list())
+    assert list(s.edge_list()) != list(Schedule.random(g, seed=22, steps=500).edge_list())
     r1 = run(balanced_float, s)
     r2 = run(balanced_float, Schedule.random(g, seed=21, steps=500))
     assert r1.p_hat == r2.p_hat
     assert [(row.t, row.seminorm) for row in r1.trace] == [
         (row.t, row.seminorm) for row in r2.trace
     ]
+
+
+@pytest.mark.parametrize("chunk", [DRAW_CHUNK, DRAW_CHUNK + 1])
+def test_chunked_draws_equal_one_draw(chunk):
+    # numpy does not promise this; the lazy random schedule relies on it
+    for k in (3, 7, 200, 2**33):
+        for total in (9_999, 150_000, 150_001):
+            whole = np.random.Generator(np.random.PCG64(k + total)).integers(0, k, size=total)
+            rng = np.random.Generator(np.random.PCG64(k + total))
+            parts = [rng.integers(0, k, size=min(chunk, total - start))
+                     for start in range(0, total, chunk)]
+            assert np.array_equal(np.concatenate(parts), whole)
+
+
+def test_random_edge_stream_matches_one_draw():
+    rng = np.random.default_rng(43)
+    for seed in (0, 7, 21, 2**40 + 3):
+        g = random_connected_graph(rng, 3 + seed % 5, extra=2)
+        order = g.sorted_edges
+        for steps in (1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 17):
+            draws = np.random.Generator(np.random.PCG64(seed)).integers(0, len(order), size=steps)
+            reference = [order[k] for k in draws]
+            assert list(Schedule.random(g, seed, steps).edge_list()) == reference
+
+
+def test_periodic_and_explicit_streams(triangle):
+    period = [(1, 2), (2, 3), (1, 3), (2, 3)]
+    s = Schedule.periodic(triangle, period, repetitions=5)
+    assert list(s.edge_list()) == period * 5 and len(s) == 20
+    e = Schedule.explicit(triangle, [(2, 1), (3, 2)])
+    assert list(e.edge_list()) == [(1, 2), (2, 3)] and len(e) == 2
+
+
+def test_run_memory_does_not_grow_with_step_budget(balanced_float, triangle):
+    # one draw of all 10**7 indices would take 80 MB, and a list of their edges 80 MB more
+    run(balanced_float, Schedule.random(triangle, seed=3, steps=10))  # first-call allocations
+    s = Schedule.random(triangle, seed=7, steps=10**7)
+    tracemalloc.start()
+    try:
+        report = run(balanced_float, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.converged and report.steps < 100 and len(s) == 10**7
+    assert peak < 2**20
+
+
+def _exact_left_product(ws, edges):
+    n = ws.graph.n
+    P = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+    for e in edges:
+        A = local_matrix(ws, e)
+        P = [[sum(a * P[k][c] for k, a in enumerate(row) if a) for c in range(n)] for row in A]
+    return P
+
+
+def test_run_matches_exact_product_on_short_schedules():
+    rng = np.random.default_rng(97)
+    for k in range(36):
+        n = 3 + k % 4
+        g = random_connected_graph(rng, n, extra=2)
+        ws = random_rational_weights(rng, g)
+        order = g.sorted_edges
+        draw = [order[int(v)] for v in rng.integers(0, len(order), size=int(rng.integers(1, 9)))]
+        if k % 3 == 0:
+            s = Schedule.explicit(g, draw * (1 + 32 // len(draw)))
+        elif k % 3 == 1:
+            s = Schedule.periodic(g, draw, repetitions=40 // len(draw))
+        else:
+            s = Schedule.random(g, int(rng.integers(0, 2**31)), int(rng.integers(1, 41)))
+        assert 1 <= len(s) <= 40
+        report = run(ws, s, RunOptions(tol=0))
+        exact = np.array(_exact_left_product(ws, list(s.edge_list())), dtype=float)
+        assert report.steps == len(s)
+        assert np.abs(report.P - exact).max() <= 1e-14
 
 
 def test_min_entry_floor_worked(balanced_float, triangle):

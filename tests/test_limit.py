@@ -90,6 +90,11 @@ def test_verify_left_eigenvector_two_node():
     assert not verify_left_eigenvector(ws, (F(1, 2), F(1, 2)))
 
 
+def test_verify_left_eigenvector_rejects_wrong_length(balanced):
+    with pytest.raises(errors.NonInteriorVector):
+        verify_left_eigenvector(balanced, (F(1, 2), F(1, 2)))
+
+
 def test_verify_left_eigenvector_float_tolerance(balanced_float):
     p = (0.5, 1 / 3, 1 / 6)
     assert verify_left_eigenvector(balanced_float, p)
@@ -137,14 +142,16 @@ def test_witness_trees_random_validity():
 
 
 def test_probability_vector_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.NotUnitSum):
         ProbabilityVector((F(1, 2), F(1, 2), F(1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.NonInteriorVector):
         ProbabilityVector((F(3, 2), F(-1, 2)))
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.NonInteriorVector):
         ProbabilityVector((float("nan"), 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(errors.NonInteriorVector):
         ProbabilityVector((0.5, 0.5, 0.0 * float("inf")))
+    with pytest.raises(errors.NonInteriorVector):
+        ProbabilityVector(())
     p = ProbabilityVector((0.25, 0.75))
     assert p.as_floats() == (0.25, 0.75)
     assert not p.exact
