@@ -38,9 +38,10 @@ class RatioVector(EdgeTable):
     noun = "ratio"
 
     def _check(self, y, e):
-        if y <= 0:
-            raise ParameterOutOfRange(f"ratio {y} on edge {e} must be positive")
-        return Fraction(y) if is_exact(y) else y  # so that reciprocals of ints stay exact
+        exact = is_exact(y)
+        if not (y > 0 if exact else 0 < y < math.inf):  # a float test that NaN fails
+            raise ParameterOutOfRange(f"ratio {y} on edge {e} must be positive and finite")
+        return Fraction(y) if exact else y  # so that reciprocals of ints stay exact
 
     def _flip(self, y):
         return 1 / y

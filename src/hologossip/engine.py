@@ -4,8 +4,13 @@ A schedule is a finite sequence of edges: explicit, periodic, or drawn
 uniformly at random from the edge set with a seeded generator. Stepping an
 edge (i, j) left-multiplies the running product by that edge's local
 matrix, which only mixes rows i and j, so the update costs O(n) instead of
-a dense multiply. A run also takes the O(n^2) seminorm of the product after
-every step, for its stopping rule. The state reached from x0 is P @ x0.
+a dense multiply. The state reached from x0 is P @ x0.
+
+A run takes the O(n^2) seminorm of the product only where its value is
+read: at the recorded trace steps and the last step, the checkpoints of
+its stopping rule. A gap between two checkpoints that may hold a step below
+the tolerance is replayed exactly (see run and RISE), so the result is
+bit-identical to testing the rule after every step.
 
 Diagnostics follow the standard contraction toolkit for products of
 stochastic matrices: the row-spread semi-norm (max column spread, zero
@@ -54,6 +59,18 @@ DRAW_CHUNK = 4096
 DENSE_RECORD_LIMIT = 1000
 #: ... then every this many steps.
 SPARSE_RECORD_EVERY = 100
+
+#: Largest rise of the computed seminorm that one step can cause through
+#: rounding, with u = 2**-53 the unit roundoff of float64. The exact update
+#: of rows i and j is a convex combination, so no column's max rises and no
+#: min falls. Each computed entry, fl(fl(fl(1 - a) x) + fl(a y)), is within
+#: three roundings of the exact one, so it exceeds a column max M by at most
+#: 3uM and falls below a column min m by at most 3um, to first order. The
+#: seminorm's subtractions max - min, at this step and the one before, add
+#: one rounding each, at most u(M - m) apiece. Entries lie in [0, 1], so the
+#: rise is at most 5uM + um <= 6u; the bound takes 8u, which also absorbs
+#: the second-order terms and the rounding of ``tol + k * RISE``.
+RISE = 8 * 2.0 ** -53
 
 
 def _should_record(t: int) -> bool:
@@ -260,8 +277,8 @@ class RunReport:
 def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) -> RunReport:
     """Step the product through a schedule.
 
-    Stops at the end of the schedule or as soon as the product's seminorm
-    drops below ``opts.tol``. The limit estimate ``p_hat`` is the vector of
+    Stops at the end of the schedule or at the first step whose seminorm is
+    below ``opts.tol``. The limit estimate ``p_hat`` is the vector of
     column means of the final product, and the residual seminorm is its
     error certificate. When the schedule is periodic with a known spanning
     window m, every recorded step is checked against the geometric decay
@@ -269,6 +286,14 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     certificate held everywhere it is measurable; the certificate is
     floored at LEDGER_RESOLUTION for the comparison, traces carry the raw
     value).
+
+    The seminorm is taken only at the checkpoints: the recorded steps and
+    the last step. Past DENSE_RECORD_LIMIT, with ``tol > 0``, the run keeps
+    a snapshot of the product at each checkpoint and the edges stepped
+    since. When a checkpoint k steps later reads below ``tol + k * RISE``,
+    one of those steps may have been below ``tol``: the run restores the
+    snapshot and replays them with a seminorm after each, up to the first
+    one below ``tol``. Every output equals that of a test after every step.
     """
     if ws.graph != schedule.graph:
         raise GraphMismatch("weight set and schedule use different graphs")
@@ -282,15 +307,26 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     tracker = ProductTracker(n)
     trace = []
     max_viol = None
+    snapshot, pending = None, []  # product at the last sparse checkpoint, edges since
 
-    def record(edge, s):
+    def checkpoint(edge) -> float:
         nonlocal max_viol
+        s = tracker.seminorm()
+        if pending and s < opts.tol + len(pending) * RISE:
+            np.copyto(tracker.P, snapshot)
+            tracker.t -= len(pending)
+            for edge in pending:  # the row below names the step the replay stops at
+                tracker.step(edge, pairs[edge])
+                s = tracker.seminorm()
+                if s < opts.tol:
+                    break
         bound = None
         if window is not None:
             bound = (1.0 - eps) ** (tracker.t / window - 1.0)
             viol = s - max(bound, LEDGER_RESOLUTION)
             max_viol = viol if max_viol is None else max(max_viol, viol)
         trace.append(TraceRow(tracker.t, edge, s, bound, tracker.min_entry()))
+        return s
 
     s = tracker.seminorm()
     converged = s < opts.tol
@@ -298,12 +334,19 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
         if converged:
             break
         tracker.step(edge, pairs[edge])
-        s = tracker.seminorm()
+        if snapshot is not None:
+            pending.append(edge)
+        if _should_record(tracker.t):
+            s = checkpoint(edge)
+            converged = s < opts.tol
+            if opts.tol > 0 and tracker.t >= DENSE_RECORD_LIMIT:
+                if snapshot is None:
+                    snapshot = np.empty_like(tracker.P)
+                np.copyto(snapshot, tracker.P)
+                pending.clear()
+    if tracker.t and trace[-1].t != tracker.t:  # ran out between checkpoints: edge was the last step
+        s = checkpoint(edge)
         converged = s < opts.tol
-        if _should_record(tracker.t) or converged:
-            record(edge, s)
-    if tracker.t and trace[-1].t != tracker.t:  # ran out unrecorded: edge was the last step
-        record(edge, s)
 
     p_hat = tracker.P.mean(axis=0)
     return RunReport(

@@ -34,7 +34,10 @@ def parse_scalar(value, where: str):
     if isinstance(value, bool):
         raise FileFormatError(f"{where}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise FileFormatError(f"{where}: integer outside the float64 range") from exc
     if isinstance(value, str):
         if _RATIONAL_RE.match(value):
             return Fraction(value.replace(" ", ""))
@@ -56,6 +59,8 @@ def _load_json(path):
         raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an int past 4300 digits, deep nesting
+        raise FileFormatError(f"{path}: not readable as JSON: {exc}") from exc
 
 
 def _edge_pair(raw, where: str):

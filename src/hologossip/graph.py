@@ -47,16 +47,18 @@ class Graph:
 
     @cached_property
     def adjacency(self) -> dict:
-        adj = {v: [] for v in range(1, self.n + 1)}
+        """Sorted neighbors of each node that has an edge; its size follows
+        the edges, not ``n``, which an unchecked file can set to 10**30."""
+        adj = {}
         for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
+            adj.setdefault(i, []).append(j)
+            adj.setdefault(j, []).append(i)
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
     def neighbors(self, v: int) -> tuple:
-        if v not in self.adjacency:
+        if not 1 <= v <= self.n:
             raise InvalidNode(f"node {v} outside 1..{self.n}")
-        return self.adjacency[v]
+        return self.adjacency.get(v, ())
 
     def has_edge(self, i: int, j: int) -> bool:
         return normalize_edge(i, j) in self.edges
@@ -94,7 +96,7 @@ def build_graph(n: int, edges: Iterable) -> Graph:
     g = Graph(n=n, edges=frozenset(seen))
     reached = bfs_parents(1, g.neighbors)
     if len(reached) != n:
-        missing = min(v for v in range(1, n + 1) if v not in reached)
+        missing = next(v for v in range(1, n + 1) if v not in reached)
         raise DisconnectedGraph(f"node {missing} unreachable from node 1")
     return g
 

@@ -337,6 +337,23 @@ def test_cli_rejects_bad_numbers_with_exit_2(workdir, capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("name, raw", [
+    ("g.json", b"\xff\xfe{}"),  # not UTF-8
+    ("g.json", b"[" * 100_000),  # nesting past the recursion limit
+    ("g.json", b'{"n": ' + b"1" * 5000 + b', "edges": []}'),  # int past 4300 digits
+    ("g.json", json.dumps({"n": 10**30, "edges": [[1, 2]]}).encode()),
+    ("w.json", json.dumps([{"edge": [1, 2], "a_ij": 10**400, "a_ji": 0.5}]).encode()),
+])
+def test_cli_rejects_unreadable_and_extreme_files_with_exit_2(workdir, capsys, name, raw):
+    tmp, write = workdir
+    g, w = write("g.json", TRIANGLE_GRAPH), write("w.json", BALANCED_RATIONAL)
+    (tmp / name).write_bytes(raw)
+    assert main(["check", g, w]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("pair", [(0.5, 5e-324), (5e-324, 0.5)])
 def test_limit_with_overflowing_ratio_is_base_independent(workdir, capsys, pair):
     # the directed ratio 0.5 / 5e-324 = 2**1073 is past float64; the limit is not

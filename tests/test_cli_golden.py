@@ -53,6 +53,7 @@ INPUTS = {
     "tri.json": {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]},
     "path4.json": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
     "cyc50.json": {"n": 50, "edges": [[k, k + 1] for k in range(1, 50)] + [[1, 50]]},
+    "cyc20.json": {"n": 20, "edges": [[k, k + 1] for k in range(1, 20)] + [[1, 20]]},
     "bal_exact.json": _triangle_weights(BALANCED, True),
     "bal_float.json": _triangle_weights(BALANCED, False),
     "unbal_exact.json": _triangle_weights(UNBALANCED, True),
@@ -61,9 +62,12 @@ INPUTS = {
     "c50_float.json": _cycle_weights(50, False),
     "c50_unbal_exact.json": _cycle_weights(50, True, perturb=True),
     "c50_unbal_float.json": _cycle_weights(50, False, perturb=True),
+    "c20_float.json": _cycle_weights(20, False),
     "explicit.json": {"type": "explicit", "edges": [[1, 2], [3, 2], [1, 3], [2, 1]]},
     "periodic.json": {"type": "periodic", "period": [[1, 2], [2, 3], [1, 3]], "repetitions": 400},
     "random.json": {"type": "random", "steps": 5000, "seed": 11},
+    "periodic20.json": {"type": "periodic", "period": [[k, k + 1] for k in range(1, 20)] + [[1, 20]],
+                        "repetitions": 200},
     "dup.json": _triangle_weights(BALANCED, False) + [{"edge": [2, 1], "a_ij": 0.3, "a_ji": 0.2}],
     "short.json": _triangle_weights(BALANCED, True)[:2],
     "range.json": [{"edge": [1, 2], "a_ij": 1.5, "a_ji": 0.3}] + _triangle_weights(BALANCED, False)[1:],
@@ -110,6 +114,11 @@ COMMANDS = [
     (["check", "tri.json", "range.json"], []),
     (["simulate", "tri.json", "bal_float.json", "--random-steps", "100"], []),
     (["design", "tri.json", "--target", "1/2,1/2", "--seed", "1"], []),
+    # both stop past the dense trace zone, between two recorded steps (6153 and 3464)
+    (["simulate", "cyc20.json", "c20_float.json", "--random-steps", "200000", "--seed", "0",
+      "--tol", "1e-4"], []),
+    (["simulate", "cyc20.json", "c20_float.json", "--schedule", "periodic20.json",
+      "--tol", "1e-4", "--trace", "p20.tsv", "--report", "p20.json"], ["p20.tsv", "p20.json"]),
 ]
 
 

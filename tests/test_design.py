@@ -219,6 +219,18 @@ def test_ratio_vector_validation(triangle):
     assert y.get(1, 2) == F(2, 3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), 0.0, F(0)])
+def test_ratio_vector_rejects_nonfinite_and_nonpositive(triangle, bad):
+    with pytest.raises(errors.ParameterOutOfRange):
+        RatioVector(triangle, {(1, 2): bad, (2, 3): 1.0, (1, 3): 1.0})
+
+
+def test_ratio_vector_keeps_huge_fractions_exact(triangle):
+    # past the float64 range: compared with inf exactly, never converted to float
+    y = RatioVector(triangle, {(1, 2): F(10**400), (2, 3): F(1, 10**400), (1, 3): F(1)})
+    assert y.exact and y.get(2, 1) == F(1, 10**400) and y.get(2, 3) == F(1, 10**400)
+
+
 def test_exact_ratio_vector_get_returns_fractions(triangle):
     y = RatioVector(triangle, {(1, 2): 2, (3, 2): 4, (1, 3): F(1, 2)})
     assert y.exact

@@ -12,10 +12,15 @@ from hologossip.acceptance import (
     random_rational_weights,
 )
 from hologossip.engine import (
+    DENSE_RECORD_LIMIT,
     DRAW_CHUNK,
+    LEDGER_RESOLUTION,
+    RISE,
+    SPARSE_RECORD_EVERY,
     ProductTracker,
     RunOptions,
     Schedule,
+    TraceRow,
     classify_schedule,
     ergodicity_coefficient,
     is_scrambling,
@@ -356,6 +361,146 @@ def test_run_matches_exact_product_on_short_schedules():
         exact = np.array(_exact_left_product(ws, list(s.edge_list())), dtype=float)
         assert report.steps == len(s)
         assert np.abs(report.P - exact).max() <= 1e-14
+
+
+# -- stopping rule at checkpoints ---------------------------------------------
+
+def _every_step_run(ws, schedule, tol):
+    """The stopping rule tested after every step: the reference that run(),
+    which tests it only at checkpoints, must reproduce bit for bit."""
+    n = ws.graph.n
+    m = classify_schedule(schedule).m_spanning
+    window = m * (n // 2) if m else None
+    eps = float(entry_floor(ws))
+    pairs = dict(ws.to_float().items())
+    tracker = ProductTracker(n)
+    trace, viols = [], []
+
+    def record(edge, s):
+        bound = None
+        if window is not None:
+            bound = (1.0 - eps) ** (tracker.t / window - 1.0)
+            viols.append(s - max(bound, LEDGER_RESOLUTION))
+        trace.append(TraceRow(tracker.t, edge, s, bound, tracker.min_entry()))
+
+    s = tracker.seminorm()
+    converged = s < tol
+    for edge in schedule.edge_list():
+        if converged:
+            break
+        tracker.step(edge, pairs[edge])
+        s = tracker.seminorm()
+        converged = s < tol
+        if tracker.t <= DENSE_RECORD_LIMIT or tracker.t % SPARSE_RECORD_EVERY == 0 or converged:
+            record(edge, s)
+    if tracker.t and trace[-1].t != tracker.t:
+        record(edge, s)
+    return {"steps": tracker.t, "converged": converged, "final_seminorm": s,
+            "p_hat": [float(v) for v in tracker.P.mean(axis=0)], "P": tracker.P.tobytes(),
+            "trace": trace, "max_bound_violation": max(viols) if viols else None}
+
+
+def _outcome(ws, schedule, tol):
+    r = run(ws, schedule, RunOptions(tol=tol))
+    return {"steps": r.steps, "converged": r.converged, "final_seminorm": r.final_seminorm,
+            "p_hat": r.p_hat, "P": r.P.tobytes(), "trace": r.trace,
+            "max_bound_violation": r.max_bound_violation}
+
+
+def _seminorms(ws, schedule):
+    """Seminorm of the product before the first step and after every step."""
+    pairs = dict(ws.to_float().items())
+    tracker = ProductTracker(ws.graph.n)
+    values = [tracker.seminorm()]
+    for edge in schedule.edge_list():
+        values.append(tracker.step(edge, pairs[edge]).seminorm())
+    return np.array(values)
+
+
+def _slow_case(seed):
+    """n = 3..8 with weights in (0.005, 0.05): the seminorm still decays at step
+    2,000. Odd seeds draw a random schedule of 1,957 steps; even seeds repeat a
+    spanning period to about as many steps, neither a multiple of 100."""
+    rng = np.random.default_rng(900 + seed)
+    g = random_connected_graph(rng, 3 + seed % 6, extra=seed % 3)
+    ws = random_float_weights(rng, g, 0.005, 0.05)
+    if seed % 2:
+        return ws, Schedule.random(g, seed=seed, steps=1957), rng
+    edges = g.sorted_edges
+    period = [edges[int(k)] for k in rng.permutation(len(edges))] + [edges[0]]
+    return ws, Schedule.periodic(g, period, 1957 // len(period)), rng
+
+
+def test_checkpoint_rule_matches_every_step_rule():
+    stops = []
+    for seed in range(5):
+        ws, schedule, rng = _slow_case(seed)
+        s = _seminorms(ws, schedule)
+        last = len(schedule)
+        assert last % SPARSE_RECORD_EVERY
+        mid = int(rng.choice([t for t in range(DENSE_RECORD_LIMIT + 1, last)
+                              if t % SPARSE_RECORD_EVERY]))
+        # stop inside a gap, stop at the last step, run out unconverged
+        for tol in (np.nextafter(s[mid], 1.0), np.nextafter(s[last], 1.0), s[last] / 2):
+            expected = _every_step_run(ws, schedule, float(tol))
+            assert _outcome(ws, schedule, float(tol)) == expected
+            stops.append(expected["steps"])
+    assert all(t > DENSE_RECORD_LIMIT for t in stops)
+    assert sum(t % SPARSE_RECORD_EVERY != 0 for t in stops[::3]) >= 4
+
+
+def test_checkpoint_rule_at_tolerance_boundary():
+    # tol exactly at a checkpoint's seminorm, and one ulp above it: both replay
+    cases = []
+    for seed in range(2):
+        ws, schedule, _ = _slow_case(seed)
+        s = _seminorms(ws, schedule)
+        cases += [(ws, schedule, s[c]) for c in (1100, 1900)]
+    # runs that first reach the rounding floor inside a gap (n = 7 and 8), where the
+    # seminorm rose by rounding before the checkpoint: only the k * RISE margin
+    # makes the run look back into the gap
+    rises = 0
+    for seed in (6, 27):
+        rng = np.random.default_rng(500 + seed)
+        g = random_connected_graph(rng, 5 + seed % 4, extra=2)
+        ws = random_float_weights(rng, g, 0.3, 0.7)
+        schedule = Schedule.random(g, seed=seed, steps=1800)
+        s = _seminorms(ws, schedule)
+        low = np.minimum.accumulate(s)
+        for c in range(1100, len(schedule) + 1, SPARSE_RECORD_EVERY):
+            if low[c - SPARSE_RECORD_EVERY] >= s[c] > s[c - SPARSE_RECORD_EVERY + 1:c].min():
+                cases.append((ws, schedule, s[c]))
+                rises += 1
+    assert rises == 2
+    for ws, schedule, s_c in cases:
+        for tol in (float(s_c), float(np.nextafter(s_c, 1.0))):
+            assert _outcome(ws, schedule, tol) == _every_step_run(ws, schedule, tol)
+
+
+def test_seminorm_rise_per_step_is_within_rise():
+    worst = 0.0
+    for seed in range(21):
+        rng = np.random.default_rng(300 + seed)
+        n = (3, 4, 5, 8, 12, 20, 50)[seed % 7]
+        g = random_connected_graph(rng, n, extra=2)
+        # each weight near 0, near 1, or in between
+        draw = lambda: float(rng.choice([rng.uniform(1e-4, 1e-2), rng.uniform(0.99, 0.9999),
+                                         rng.uniform(0.01, 0.99)]))
+        ws = WeightSet(g, {e: (draw(), draw()) for e in g.sorted_edges})
+        s = _seminorms(ws, Schedule.random(g, seed=seed, steps=1000))
+        worst = max(worst, float(np.diff(s).max()))
+    assert 0 < worst <= RISE
+
+
+def test_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
+    steps, norms = [], []
+    step, norm = ProductTracker.step, ProductTracker.seminorm
+    monkeypatch.setattr(ProductTracker, "step", lambda self, *a: steps.append(1) or step(self, *a))
+    monkeypatch.setattr(ProductTracker, "seminorm", lambda self: norms.append(1) or norm(self))
+    report = run(balanced_float, Schedule.random(triangle, seed=5, steps=3456), RunOptions(tol=0))
+    assert report.steps == len(steps) == 3456 and not report.converged
+    # the initial seminorm, then one per checkpoint: 1000 dense, 24 sparse, the last step
+    assert len(norms) == 1 + len(report.trace) == 1 + 1000 + 24 + 1
 
 
 def test_min_entry_floor_worked(balanced_float, triangle):

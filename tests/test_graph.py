@@ -27,6 +27,9 @@ def test_build_single_edge():
 def test_build_rejects_disconnected():
     with pytest.raises(errors.DisconnectedGraph):
         build_graph(3, [(1, 2)])
+    # the node count of a file is unchecked: nothing may be allocated or scanned per node
+    with pytest.raises(errors.DisconnectedGraph, match="node 3 unreachable"):
+        build_graph(10**30, [(1, 2)])
 
 
 def test_build_rejects_self_loop():
