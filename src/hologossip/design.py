@@ -54,9 +54,13 @@ class RatioVector(EdgeTable):
 def weight_ratios(ws: WeightSet) -> RatioVector:
     """Ratios a_ij / a_ji of a weight set, one per directed edge.
 
-    Invariant under scaling both weights of an edge by a common factor.
+    Invariant under scaling both weights of an edge by a common factor. When
+    a float quotient is past float64, every quotient is taken exactly.
     """
-    return RatioVector(ws.graph, {e: ratio(ws, *e) for e in ws.graph.sorted_edges})
+    ratios = {e: ratio(ws, *e) for e in ws.graph.sorted_edges}
+    if math.inf in ratios.values():
+        ratios = {e: Fraction(a) / Fraction(b) for e, (a, b) in ws.items()}
+    return RatioVector(ws.graph, ratios)
 
 
 def distribution_ratios(p, g: Graph) -> RatioVector:

@@ -4,7 +4,9 @@ A schedule is a finite sequence of edges: explicit, periodic, or drawn
 uniformly at random from the edge set with a seeded generator. Stepping an
 edge (i, j) left-multiplies the running product by that edge's local
 matrix, which only mixes rows i and j, so the update costs O(n) instead of
-a dense multiply. The state reached from x0 is P @ x0.
+a dense multiply. The state reached from x0 is P @ x0. A run tables each
+edge's coefficients once, and the smallest positive entry of P is kept as
+per-row floors (see ProductTracker); every result stays bit-identical.
 
 A run takes the O(n^2) seminorm of the product only where its value is
 read: at the recorded trace steps and the last step, the checkpoints of
@@ -71,10 +73,6 @@ SPARSE_RECORD_EVERY = 100
 #: rise is at most 5uM + um <= 6u; the bound takes 8u, which also absorbs
 #: the second-order terms and the rounding of ``tol + k * RISE``.
 RISE = 8 * 2.0 ** -53
-
-
-def _should_record(t: int) -> bool:
-    return t <= DENSE_RECORD_LIMIT or t % SPARSE_RECORD_EVERY == 0
 
 
 # -- schedules ----------------------------------------------------------------
@@ -183,32 +181,55 @@ def classify_schedule(s: Schedule) -> ScheduleClass:
 
 # -- running product ----------------------------------------------------------
 
+def _mix(edge, w: EdgeWeights) -> tuple:
+    """One edge's step coefficients: 0-based rows i < j and the columns
+    c0 = [[1 - a_ij], [a_ji]] and c1 = [[a_ij], [1 - a_ji]]."""
+    i, j = normalize_edge(int(edge[0]), int(edge[1]))
+    a, b = float(w.a_ij), float(w.a_ji)
+    return i - 1, j - 1, np.array([[1.0 - a], [b]]), np.array([[a], [1.0 - b]])
+
+
 class ProductTracker:
     """Running left product of local matrices.
 
-    Starts at the identity. ``step`` left-multiplies one edge's local
-    matrix by replacing rows i and j with their mixtures.
+    Starts at the identity. ``step`` replaces rows i and j with the rows of
+    c0 * P[i] + c1 * P[j] (see ``_mix``; ``w`` is the edge's EdgeWeights or
+    its ``_mix`` entry). Each entry is fl(fl(c x) + fl(c' y)), as in two
+    separate row updates. ``min_entry`` copies nothing: P.min() when P has
+    no zero, else the min of one positive-entry floor per row, refreshed on
+    the rows stepped since the last read (every row after ``restore``).
     """
 
     def __init__(self, n: int):
         self.P = np.eye(n)
         self.t = 0
+        self._floors, self._stale = np.ones(n), set()
 
-    def step(self, edge, w: EdgeWeights) -> "ProductTracker":
-        i, j = normalize_edge(int(edge[0]), int(edge[1]))
-        a, b = float(w.a_ij), float(w.a_ji)
-        new_i = (1.0 - a) * self.P[i - 1] + a * self.P[j - 1]
-        new_j = b * self.P[i - 1] + (1.0 - b) * self.P[j - 1]
-        self.P[i - 1] = new_i
-        self.P[j - 1] = new_j
+    def step(self, edge, w) -> "ProductTracker":
+        i, j, c0, c1 = w if len(w) == 4 else _mix(edge, w)
+        S = c0 * self.P[i] + c1 * self.P[j]
+        self.P[i] = S[0]
+        self.P[j] = S[1]
+        self._stale.update((i, j))
         self.t += 1
         return self
+
+    def restore(self, snapshot: np.ndarray, t: int) -> None:
+        np.copyto(self.P, snapshot)
+        self.t = t
+        self._stale.update(range(len(self.P)))
 
     def seminorm(self) -> float:
         return seminorm(self.P)
 
     def min_entry(self) -> float:
-        return float(self.P[self.P > 0].min())
+        low = self.P.min()
+        if low <= 0 and self._stale:
+            rows = list(self._stale)
+            sub = self.P[rows]
+            self._floors[rows] = np.where(sub > 0, sub, np.inf).min(axis=1)
+            self._stale.clear()
+        return float(low if low > 0 else self._floors.min())
 
 
 # -- matrix diagnostics -------------------------------------------------------
@@ -302,7 +323,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     info = classify_schedule(schedule)
     eps = float(entry_floor(ws))
     window = info.m_spanning * (n // 2) if info.m_spanning else None
-    pairs = dict(ws.to_float().items())
+    pairs = {e: _mix(e, w) for e, w in ws.to_float().items()}
 
     tracker = ProductTracker(n)
     trace = []
@@ -313,8 +334,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
         nonlocal max_viol
         s = tracker.seminorm()
         if pending and s < opts.tol + len(pending) * RISE:
-            np.copyto(tracker.P, snapshot)
-            tracker.t -= len(pending)
+            tracker.restore(snapshot, tracker.t - len(pending))
             for edge in pending:  # the row below names the step the replay stops at
                 tracker.step(edge, pairs[edge])
                 s = tracker.seminorm()
@@ -336,7 +356,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
         tracker.step(edge, pairs[edge])
         if snapshot is not None:
             pending.append(edge)
-        if _should_record(tracker.t):
+        if tracker.t <= DENSE_RECORD_LIMIT or tracker.t % SPARSE_RECORD_EVERY == 0:
             s = checkpoint(edge)
             converged = s < opts.tol
             if opts.tol > 0 and tracker.t >= DENSE_RECORD_LIMIT:
@@ -374,7 +394,7 @@ def min_entry_floor_check(ws: WeightSet, schedule: Schedule) -> bool:
     tracker = ProductTracker(ws.graph.n)
     if not tracker.min_entry() > eps:
         return False
-    pairs = dict(ws.to_float().items())
+    pairs = {e: _mix(e, w) for e, w in ws.to_float().items()}
     for edge in schedule.edge_list():
         tracker.step(edge, pairs[edge])
         if not tracker.min_entry() > eps:

@@ -27,14 +27,21 @@ def _text(v) -> str:
 
 
 def _cycle_weights(n: int, exact: bool, perturb: bool = False) -> list:
-    """Balanced weights on the n-cycle with limit proportional to 1..n: on edge
-    (i, j) the ratio a_ij/a_ji is j/i, the larger weight is 1/2. With
+    """Balanced weights on the n-cycle with limit proportional to 1..n. With
     ``perturb`` the chord (1, n) gets a_ij scaled by 3/4."""
+    edges = [(k, k + 1) for k in range(1, n)] + [(1, n)]
+    return _index_weights(edges, exact, (1, n) if perturb else None)
+
+
+def _index_weights(edges, exact: bool, perturb=None) -> list:
+    """Balanced weights with limit proportional to the node labels: on edge
+    (i, j) the ratio a_ij/a_ji is j/i, the larger weight is 1/2. The edge
+    ``perturb`` gets a_ij scaled by 3/4."""
     recs = []
-    for i, j in [(k, k + 1) for k in range(1, n)] + [(1, n)]:
+    for i, j in edges:
         r = F(j, i)
         a, b = (r / 2, F(1, 2)) if r <= 1 else (F(1, 2), 1 / (2 * r))
-        if perturb and (i, j) == (1, n):
+        if (i, j) == perturb:
             a = a * F(3, 4)
         recs.append({"edge": [i, j], "a_ij": _text(a) if exact else float(a),
                      "a_ji": _text(b) if exact else float(b)})
@@ -48,6 +55,9 @@ def _triangle_weights(pairs: dict, exact: bool) -> list:
 
 BALANCED = {(1, 2): (F(1, 5), F(3, 10)), (2, 3): (F(1, 4), F(1, 2)), (1, 3): (F(1, 5), F(3, 5))}
 UNBALANCED = {(1, 2): (F(1, 2), F(1, 2)), (2, 3): (F(1, 2), F(1, 2)), (1, 3): (F(1, 5), F(2, 5))}
+
+#: A binary tree on 1..40 plus four chords.
+TREE40 = sorted({(k // 2, k) for k in range(2, 41)} | {(3, 40), (7, 29), (12, 33), (1, 25)})
 
 INPUTS = {
     "tri.json": {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]},
@@ -71,6 +81,15 @@ INPUTS = {
     "dup.json": _triangle_weights(BALANCED, False) + [{"edge": [2, 1], "a_ij": 0.3, "a_ji": 0.2}],
     "short.json": _triangle_weights(BALANCED, True)[:2],
     "range.json": [{"edge": [1, 2], "a_ij": 1.5, "a_ji": 0.3}] + _triangle_weights(BALANCED, False)[1:],
+    # the path keeps zeros in its product to the end; the tree plus chords has full
+    # support from step 251 and stops between two recorded steps (2186)
+    "path100.json": {"n": 100, "edges": [[k, k + 1] for k in range(1, 100)]},
+    "p100_float.json": _index_weights([(k, k + 1) for k in range(1, 100)], False),
+    "tree40.json": {"n": 40, "edges": [list(e) for e in TREE40]},
+    "t40_float.json": _index_weights(TREE40, False),
+    "periodic_t40.json": {"type": "periodic", "repetitions": 69,
+                          "period": [list(e) for e in sorted(
+                              TREE40, key=lambda e: (7 * e[0] + 3 * e[1]) % 11)]},
 }
 RAW_INPUTS = {"broken.json": '{"n": 3,\n "edges": [[1, 2],]}'}
 
@@ -119,6 +138,10 @@ COMMANDS = [
       "--tol", "1e-4"], []),
     (["simulate", "cyc20.json", "c20_float.json", "--schedule", "periodic20.json",
       "--tol", "1e-4", "--trace", "p20.tsv", "--report", "p20.json"], ["p20.tsv", "p20.json"]),
+    (["simulate", "path100.json", "p100_float.json", "--random-steps", "2500", "--seed", "5",
+      "--trace", "q100.tsv", "--report", "q100.json"], ["q100.tsv", "q100.json"]),
+    (["simulate", "tree40.json", "t40_float.json", "--schedule", "periodic_t40.json",
+      "--tol", "0.15", "--trace", "t40.tsv", "--report", "t40.json"], ["t40.tsv", "t40.json"]),
 ]
 
 

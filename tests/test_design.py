@@ -58,6 +58,22 @@ def test_distribution_ratios_worked(triangle):
     assert distribution_ratios([F(2, 3), F(1, 3)], path).get(1, 2) == F(1, 2)
 
 
+def test_weight_ratios_past_float64_are_exact(triangle):
+    # 0.5 / 5e-324 = 2**1073 is past float64; every quotient is then a Fraction
+    g = build_graph(2, [(1, 2)])
+    ws = WeightSet(g, {(1, 2): (0.5, 5e-324)})
+    y = weight_ratios(ws)
+    assert y.exact and y.get(1, 2) == 2**1073 and y.get(2, 1) == F(1, 2**1073)
+    limit = consensus_limit(ws)[1].entries
+    assert tuple(map(float, distribution_from_ratios(y).entries)) == limit == (1e-323, 1.0)
+    pairs = {(1, 2): (0.5, 5e-324), (2, 3): (0.25, 0.5), (1, 3): (0.5, 0.25)}
+    y = weight_ratios(WeightSet(triangle, pairs))
+    assert y.exact and dict(y.items()) == {e: F(a) / F(b) for e, (a, b) in pairs.items()}
+    # a quotient inside float64 keeps the float ratios
+    y = weight_ratios(WeightSet(g, {(1, 2): (5e-324, 0.5)}))
+    assert not y.exact and y.get(1, 2) == 1e-323
+
+
 def test_distribution_ratios_uniform(triangle):
     y = distribution_ratios([F(1, 3)] * 3, triangle)
     assert all(v == 1 for _, v in y.items())

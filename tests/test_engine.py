@@ -365,6 +365,22 @@ def test_run_matches_exact_product_on_short_schedules():
 
 # -- stopping rule at checkpoints ---------------------------------------------
 
+def _plain_steps(ws, edges):
+    """Yield (edge, P) after each step, with P stepped by the two-row formula on a
+    plain array, apart from ProductTracker. P is one array, updated in place."""
+    pairs = dict(ws.to_float().items())
+    P = np.eye(ws.graph.n)
+    for edge in edges:
+        a, b = pairs[edge]
+        i, j = edge[0] - 1, edge[1] - 1
+        P[i], P[j] = (1.0 - a) * P[i] + a * P[j], b * P[i] + (1.0 - b) * P[j]
+        yield edge, P
+
+
+def _min_positive(P) -> float:
+    return float(P[P > 0].min())
+
+
 def _every_step_run(ws, schedule, tol):
     """The stopping rule tested after every step: the reference that run(),
     which tests it only at checkpoints, must reproduce bit for bit."""
@@ -372,31 +388,29 @@ def _every_step_run(ws, schedule, tol):
     m = classify_schedule(schedule).m_spanning
     window = m * (n // 2) if m else None
     eps = float(entry_floor(ws))
-    pairs = dict(ws.to_float().items())
-    tracker = ProductTracker(n)
+    P, t = np.eye(n), 0
     trace, viols = [], []
 
     def record(edge, s):
         bound = None
         if window is not None:
-            bound = (1.0 - eps) ** (tracker.t / window - 1.0)
+            bound = (1.0 - eps) ** (t / window - 1.0)
             viols.append(s - max(bound, LEDGER_RESOLUTION))
-        trace.append(TraceRow(tracker.t, edge, s, bound, tracker.min_entry()))
+        trace.append(TraceRow(t, edge, s, bound, _min_positive(P)))
 
-    s = tracker.seminorm()
+    s = seminorm(P)
     converged = s < tol
-    for edge in schedule.edge_list():
+    for t, (edge, P) in enumerate(_plain_steps(ws, schedule.edge_list()), 1):
+        s = seminorm(P)
+        converged = s < tol
+        if t <= DENSE_RECORD_LIMIT or t % SPARSE_RECORD_EVERY == 0 or converged:
+            record(edge, s)
         if converged:
             break
-        tracker.step(edge, pairs[edge])
-        s = tracker.seminorm()
-        converged = s < tol
-        if tracker.t <= DENSE_RECORD_LIMIT or tracker.t % SPARSE_RECORD_EVERY == 0 or converged:
-            record(edge, s)
-    if tracker.t and trace[-1].t != tracker.t:
+    if t and trace[-1].t != t:
         record(edge, s)
-    return {"steps": tracker.t, "converged": converged, "final_seminorm": s,
-            "p_hat": [float(v) for v in tracker.P.mean(axis=0)], "P": tracker.P.tobytes(),
+    return {"steps": t, "converged": converged, "final_seminorm": s,
+            "p_hat": [float(v) for v in P.mean(axis=0)], "P": P.tobytes(),
             "trace": trace, "max_bound_violation": max(viols) if viols else None}
 
 
@@ -409,11 +423,7 @@ def _outcome(ws, schedule, tol):
 
 def _seminorms(ws, schedule):
     """Seminorm of the product before the first step and after every step."""
-    pairs = dict(ws.to_float().items())
-    tracker = ProductTracker(ws.graph.n)
-    values = [tracker.seminorm()]
-    for edge in schedule.edge_list():
-        values.append(tracker.step(edge, pairs[edge]).seminorm())
+    values = [1.0] + [seminorm(P) for _, P in _plain_steps(ws, schedule.edge_list())]
     return np.array(values)
 
 
@@ -510,6 +520,86 @@ def test_min_entry_floor_worked(balanced_float, triangle):
     s = Schedule.random(triangle, seed=13, steps=1000)
     assert float(entry_floor(balanced_float)) == pytest.approx(0.04)
     assert min_entry_floor_check(balanced_float, s)
+
+
+# -- min_entry from per-row floors ------------------------------------------
+
+def _assert_trace_min_entries(ws, schedule, report):
+    """Every trace row's min_entry against P[P > 0].min() of a plain product."""
+    rows = {row.t: row.min_entry for row in report.trace}
+    for t, (_, P) in enumerate(_plain_steps(ws, schedule.edge_list()), 1):
+        if t in rows:
+            assert rows.pop(t) == _min_positive(P), t
+        if t == report.steps:
+            break
+    assert not rows
+    return P
+
+
+def test_min_entry_matches_mask_on_long_runs_with_zeros():
+    stops = []
+    for k, (family, n) in enumerate([("path", 40), ("cycle", 60), ("path", 100),
+                                      ("cycle", 120), ("path", 200)]):
+        edges = [(v, v + 1) for v in range(1, n)] + ([(1, n)] if family == "cycle" else [])
+        g = build_graph(n, edges)
+        rng = np.random.default_rng(600 + k)
+        ws = random_float_weights(rng, g)
+        schedule = Schedule.random(g, seed=k, steps=1850)
+        s = _seminorms(ws, schedule)
+        # stop between two checkpoints past the dense zone, so that the run replays
+        mid = int(rng.choice([t for t in range(1101, 1500) if t % SPARSE_RECORD_EVERY]))
+        report = run(ws, schedule, RunOptions(tol=float(np.nextafter(s[mid], 1.0))))
+        P = _assert_trace_min_entries(ws, schedule, report)
+        assert report.converged and (P == 0).any()  # the run ends on the zero path
+        stops.append(report.steps)
+    assert sum(t % SPARSE_RECORD_EVERY != 0 and t > DENSE_RECORD_LIMIT for t in stops) >= 4
+
+
+def test_restore_refreshes_every_row_floor(balanced_float):
+    tracker = ProductTracker(3)
+    tracker.step((1, 2), balanced_float.pair((1, 2)))
+    assert tracker.min_entry() == 0.2
+    snapshot = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.25, 0.75]])
+    tracker.restore(snapshot, 0)
+    assert tracker.t == 0 and tracker.min_entry() == 0.25
+    assert tracker.step((2, 3), balanced_float.pair((2, 3))).min_entry() == _min_positive(tracker.P)
+
+
+def _tiny_weights(rng, g):
+    """Weights near 1e-300, near 1 and in between: entries fall into the
+    subnormal range and later underflow to 0.0."""
+    draw = lambda: float(rng.choice([rng.uniform(1e-300, 2e-300), 1.0 - 2.0 ** -53,
+                                     rng.uniform(1e-10, 1e-8), rng.uniform(0.2, 0.8)]))
+    return WeightSet(g, {e: (draw(), draw()) for e in g.sorted_edges})
+
+
+def test_min_entry_follows_underflow_that_shrinks_support():
+    shrinks = 0
+    for seed in range(6):
+        rng = np.random.default_rng(700 + seed)
+        g = random_connected_graph(rng, 4 + seed % 4, extra=1)
+        ws = _tiny_weights(rng, g)
+        schedule = Schedule.random(g, seed=seed, steps=1500)
+        prev = np.eye(g.n) > 0
+        for _, P in _plain_steps(ws, schedule.edge_list()):
+            shrinks += bool((prev & (P == 0)).any())
+            prev = P > 0
+        _assert_trace_min_entries(ws, schedule, run(ws, schedule, RunOptions(tol=0)))
+    assert shrinks >= 2
+
+
+def test_min_entry_floor_check_matches_mask():
+    outcomes = []
+    for seed in range(40):
+        rng = np.random.default_rng(800 + seed)
+        g = random_connected_graph(rng, 2 + seed % 7, extra=1)
+        ws = _tiny_weights(rng, g) if seed % 2 else random_float_weights(rng, g)
+        schedule = Schedule.random(g, seed=seed, steps=300)
+        eps = float(entry_floor(ws))
+        expected = all(_min_positive(P) > eps for _, P in _plain_steps(ws, schedule.edge_list()))
+        assert min_entry_floor_check(ws, schedule) == expected
+        outcomes.append(expected)
+    assert 5 <= sum(outcomes) <= 35
 
 
 def test_contraction_inequality_random_products():
