@@ -10,9 +10,11 @@ per-row floors (see ProductTracker); every result stays bit-identical.
 
 A run takes the O(n^2) seminorm of the product only where its value is
 read: at the recorded trace steps and the last step, the checkpoints of
-its stopping rule. A gap between two checkpoints that may hold a step below
-the tolerance is replayed exactly (see run and RISE), so the result is
-bit-identical to testing the rule after every step.
+its stopping rule. Where every step is a checkpoint, BLOCK steps share one
+pass over the rows they leave alone (ProductTracker.block). A gap between
+two sparse checkpoints that may hold a step below the tolerance is replayed
+exactly the same way (see run and RISE), so the result is bit-identical to
+testing the rule after every step.
 
 Diagnostics follow the standard contraction toolkit for products of
 stochastic matrices: the row-spread semi-norm (max column spread, zero
@@ -38,6 +40,7 @@ regardless of the weight kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterator, Optional
 
 import numpy as np
@@ -56,6 +59,10 @@ LEDGER_RESOLUTION = 1e-15
 
 #: Random schedules draw this many edge indices at a time.
 DRAW_CHUNK = 4096
+
+#: ProductTracker.block takes at most this many steps: its temporaries hold
+#: BLOCK states of the at most 2 * BLOCK rows the steps touch.
+BLOCK = 8
 
 #: Trace recording policy: every step up to this bound, ...
 DENSE_RECORD_LIMIT = 1000
@@ -195,41 +202,101 @@ class ProductTracker:
     Starts at the identity. ``step`` replaces rows i and j with the rows of
     c0 * P[i] + c1 * P[j] (see ``_mix``; ``w`` is the edge's EdgeWeights or
     its ``_mix`` entry). Each entry is fl(fl(c x) + fl(c' y)), as in two
-    separate row updates. ``min_entry`` copies nothing: P.min() when P has
-    no zero, else the min of one positive-entry floor per row, refreshed on
-    the rows stepped since the last read (every row after ``restore``).
+    separate row updates. ``min_entry`` is the min of one positive-entry
+    floor per row. ``block`` keeps the floors of the rows it steps; after
+    ``step`` or ``restore`` the next read rebuilds them in one pass.
     """
 
     def __init__(self, n: int):
         self.P = np.eye(n)
         self.t = 0
-        self._floors, self._stale = np.ones(n), set()
+        self._floors = np.ones(n)
 
     def step(self, edge, w) -> "ProductTracker":
         i, j, c0, c1 = w if len(w) == 4 else _mix(edge, w)
         S = c0 * self.P[i] + c1 * self.P[j]
         self.P[i] = S[0]
         self.P[j] = S[1]
-        self._stale.update((i, j))
+        self._floors = None
         self.t += 1
         return self
 
     def restore(self, snapshot: np.ndarray, t: int) -> None:
         np.copyto(self.P, snapshot)
         self.t = t
-        self._stale.update(range(len(self.P)))
+        self._floors = None
 
     def seminorm(self) -> float:
         return seminorm(self.P)
 
     def min_entry(self) -> float:
-        low = self.P.min()
-        if low <= 0 and self._stale:
-            rows = list(self._stale)
-            sub = self.P[rows]
-            self._floors[rows] = np.where(sub > 0, sub, np.inf).min(axis=1)
-            self._stale.clear()
-        return float(low if low > 0 else self._floors.min())
+        return float(self._row_floors().min())
+
+    def _row_floors(self) -> np.ndarray:
+        if self._floors is None:
+            self._floors = _positive_floors(self.P)
+        return self._floors
+
+    def block(self, steps, tol: float) -> tuple:
+        """Take up to BLOCK steps, each the ``_mix`` entry of its edge, and
+        return two lists: the seminorm and the ``min_entry`` after each step,
+        up to the first seminorm below ``tol``. The tracker keeps those steps.
+
+        The steps run on a table of versions of the rows they touch: each
+        row's value before the block, then the two rows each step writes.
+        Gathering the versions current after each step gives the touched
+        rows of every step's product. One pass over the other rows, which no
+        step changes, completes the column maxima and minima, and the floors
+        of the versions complete each ``min_entry``. Max and min are exact,
+        so every value equals the reduction of the whole product after that
+        step, bit for bit.
+        """
+        P, floors = self.P, self._row_floors()
+        rows = sorted({r for i, j, _, _ in steps for r in (i, j)})
+        local = {r: k for k, r in enumerate(rows)}
+        versions = np.empty((len(rows) + 2 * len(steps), P.shape[1]))
+        versions[:len(rows)] = P[rows]
+        latest, current, written = list(range(len(rows))), [], []
+        for v, (i, j, c0, c1) in zip(range(len(rows), len(versions), 2), steps):
+            li, lj = local[i], local[j]
+            np.add(c0 * versions[latest[li]], c1 * versions[latest[lj]], out=versions[v:v + 2])
+            latest[li], latest[lj] = v, v + 1
+            current.append(latest.copy())
+            written.append((li, lj))
+        touched = versions[current]  # (step, touched row, column)
+        others = np.ones(len(P), dtype=bool)
+        others[rows] = False
+        fixed = P[others]
+        hi = np.maximum(touched.max(axis=1), fixed.max(axis=0, initial=-np.inf))
+        lo = np.minimum(touched.min(axis=1), fixed.min(axis=0, initial=np.inf))
+        norms = (hi - lo).max(axis=1).tolist()
+        fixed_floor = float(floors[others].min(initial=np.inf))
+        row_floors = floors[rows].tolist()
+        new_floors = _positive_floors(versions[len(rows):]).tolist()
+        mins = []
+        for (li, lj), fi, fj, s in zip(written, new_floors[::2], new_floors[1::2], norms):
+            row_floors[li], row_floors[lj] = fi, fj
+            mins.append(min(fixed_floor, *row_floors))
+            if s < tol:
+                break
+        P[rows] = touched[len(mins) - 1]
+        floors[rows] = row_floors
+        self.t += len(mins)
+        return norms[:len(mins)], mins
+
+
+def _positive_floors(M: np.ndarray) -> np.ndarray:
+    """Smallest positive entry along the last axis of M, rows of a
+    stochastic product, in one pass that does not branch on the zeros.
+
+    The entries are finite and >= 0, so their float64 bit patterns, read as
+    unsigned integers, order like their values. Taking 1 from each pattern
+    wraps +0.0 to the largest one, which never wins; adding it back to the
+    min gives the smallest positive entry, exactly. Every row sums to about
+    1, so none is all zeros.
+    """
+    bits = M.view(np.uint64) - np.uint64(1)
+    return (bits.min(axis=-1) + np.uint64(1)).view(np.float64)
 
 
 # -- matrix diagnostics -------------------------------------------------------
@@ -309,12 +376,14 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     value).
 
     The seminorm is taken only at the checkpoints: the recorded steps and
-    the last step. Past DENSE_RECORD_LIMIT, with ``tol > 0``, the run keeps
-    a snapshot of the product at each checkpoint and the edges stepped
-    since. When a checkpoint k steps later reads below ``tol + k * RISE``,
-    one of those steps may have been below ``tol``: the run restores the
-    snapshot and replays them with a seminorm after each, up to the first
-    one below ``tol``. Every output equals that of a test after every step.
+    the last step. Up to DENSE_RECORD_LIMIT every step is one, and they are
+    evaluated BLOCK at a time (``ProductTracker.block``). Past it, with
+    ``tol > 0``, the run keeps a snapshot of the product at each checkpoint
+    and the edges stepped since. When a checkpoint k steps later reads below
+    ``tol + k * RISE``, one of those steps may have been below ``tol``: the
+    run restores the snapshot and replays them, again in blocks, up to the
+    first one below ``tol``. Every output equals that of a test after every
+    step.
     """
     if ws.graph != schedule.graph:
         raise GraphMismatch("weight set and schedule use different graphs")
@@ -328,40 +397,57 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     tracker = ProductTracker(n)
     trace = []
     max_viol = None
-    snapshot, pending = None, []  # product at the last sparse checkpoint, edges since
 
-    def checkpoint(edge) -> float:
+    def record(t, edge, s, low) -> None:
         nonlocal max_viol
-        s = tracker.seminorm()
-        if pending and s < opts.tol + len(pending) * RISE:
-            tracker.restore(snapshot, tracker.t - len(pending))
-            for edge in pending:  # the row below names the step the replay stops at
-                tracker.step(edge, pairs[edge])
-                s = tracker.seminorm()
-                if s < opts.tol:
-                    break
         bound = None
         if window is not None:
-            bound = (1.0 - eps) ** (tracker.t / window - 1.0)
+            bound = (1.0 - eps) ** (t / window - 1.0)
             viol = s - max(bound, LEDGER_RESOLUTION)
             max_viol = viol if max_viol is None else max(max_viol, viol)
-        trace.append(TraceRow(tracker.t, edge, s, bound, tracker.min_entry()))
+        trace.append(TraceRow(t, edge, s, bound, low))
+
+    def advance(part) -> list:
+        """(t, edge, seminorm, min_entry) of each step of ``part``, at most
+        BLOCK edges, taken up to the first step below ``tol``."""
+        norms, mins = tracker.block([pairs[e] for e in part], opts.tol)
+        return list(zip(range(tracker.t - len(norms) + 1, tracker.t + 1), part, norms, mins))
+
+    def checkpoint(edge) -> float:
+        s, low = tracker.seminorm(), None
+        if pending and s < opts.tol + len(pending) * RISE:
+            tracker.restore(snapshot, tracker.t - len(pending))
+            for start in range(0, len(pending), BLOCK):  # the row names the step the replay stops at
+                _, edge, s, low = advance(pending[start:start + BLOCK])[-1]
+                if s < opts.tol:
+                    break
+        record(tracker.t, edge, s, tracker.min_entry() if low is None else low)
         return s
 
+    edges = schedule.edge_list()
     s = tracker.seminorm()
     converged = s < opts.tol
-    for edge in schedule.edge_list():
-        if converged:
+    while not converged and tracker.t < DENSE_RECORD_LIMIT:
+        part = list(islice(edges, min(BLOCK, DENSE_RECORD_LIMIT - tracker.t)))
+        if not part:
             break
+        for t, edge, s, low in advance(part):
+            record(t, edge, s, low)
+        converged = s < opts.tol
+
+    # past the dense zone: a snapshot at each checkpoint and the edges since
+    snapshot = tracker.P.copy() if opts.tol > 0 and not converged else None
+    pending = []
+    for edge in () if converged else edges:
         tracker.step(edge, pairs[edge])
         if snapshot is not None:
             pending.append(edge)
-        if tracker.t <= DENSE_RECORD_LIMIT or tracker.t % SPARSE_RECORD_EVERY == 0:
+        if tracker.t % SPARSE_RECORD_EVERY == 0:
             s = checkpoint(edge)
             converged = s < opts.tol
-            if opts.tol > 0 and tracker.t >= DENSE_RECORD_LIMIT:
-                if snapshot is None:
-                    snapshot = np.empty_like(tracker.P)
+            if converged:
+                break
+            if snapshot is not None:
                 np.copyto(snapshot, tracker.P)
                 pending.clear()
     if tracker.t and trace[-1].t != tracker.t:  # ran out between checkpoints: edge was the last step
@@ -395,8 +481,9 @@ def min_entry_floor_check(ws: WeightSet, schedule: Schedule) -> bool:
     if not tracker.min_entry() > eps:
         return False
     pairs = {e: _mix(e, w) for e, w in ws.to_float().items()}
-    for edge in schedule.edge_list():
-        tracker.step(edge, pairs[edge])
-        if not tracker.min_entry() > eps:
+    edges = schedule.edge_list()
+    while part := [pairs[e] for e in islice(edges, BLOCK)]:
+        _, mins = tracker.block(part, 0.0)  # no seminorm is below 0: every step is taken
+        if not min(mins) > eps:
             return False
     return True

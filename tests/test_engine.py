@@ -12,6 +12,7 @@ from hologossip.acceptance import (
     random_rational_weights,
 )
 from hologossip.engine import (
+    BLOCK,
     DENSE_RECORD_LIMIT,
     DRAW_CHUNK,
     LEDGER_RESOLUTION,
@@ -502,15 +503,70 @@ def test_seminorm_rise_per_step_is_within_rise():
     assert 0 < worst <= RISE
 
 
+def _running_minima(s):
+    """Steps whose seminorm is below every earlier one: with ``tol`` one ulp
+    above it, the every-step rule stops exactly there."""
+    low = np.minimum.accumulate(s)
+    return [t for t in range(1, len(s)) if s[t] < low[t - 1]]
+
+
+def test_block_stops_match_every_step_rule():
+    # a 20-node periodic run, whose blocks leave rows alone, and a 5-node one
+    rng = np.random.default_rng(970)
+    g = random_connected_graph(rng, 20, extra=3)
+    period = [g.sorted_edges[int(k)] for k in rng.permutation(len(g.sorted_edges))]
+    cases = [(random_float_weights(rng, g), Schedule.periodic(g, period, 1300 // len(period))),
+             _slow_case(2)[:2]]
+    at_limit = 0
+    for ws, schedule in cases:
+        s = _seminorms(ws, schedule)
+        minima = _running_minima(s)
+        # every offset inside a dense block, then step 1000 itself
+        stops = [next(t for t in minima if t <= DENSE_RECORD_LIMIT and (t - 1) % BLOCK == o)
+                 for o in range(BLOCK)]
+        if DENSE_RECORD_LIMIT in minima:
+            stops.append(DENSE_RECORD_LIMIT)
+            at_limit += 1
+        # past step 1000: a replay that stops more than one block into its gap
+        stops.append(next(t for t in minima
+                          if t > DENSE_RECORD_LIMIT and t % SPARSE_RECORD_EVERY > BLOCK))
+        for t in stops:
+            tol = float(np.nextafter(s[t], 1.0))
+            expected = _every_step_run(ws, schedule, tol)
+            assert expected["steps"] == t and expected["max_bound_violation"] is not None
+            assert _outcome(ws, schedule, tol) == expected
+    assert at_limit == 1
+
+
+def test_runs_that_end_inside_a_block_match_every_step_rule():
+    ws, schedule, _ = _slow_case(2)
+    edges = list(schedule.edge_list())
+    # a partial first block, a partial last dense block, and a gap of 61 edges
+    # (7 blocks and 5 edges) that the last checkpoint replays
+    for length in (5, 997, 1061):
+        part = Schedule.explicit(ws.graph, edges[:length])
+        last = float(_seminorms(ws, part)[length])
+        for tol in (0.0, last / 2, float(np.nextafter(last, 1.0))):
+            assert _outcome(ws, part, tol) == _every_step_run(ws, part, tol)
+
+
+@pytest.mark.parametrize("n", [3, 50, 200])
+def test_zero_tol_run_matches_every_step_rule(n):
+    g = build_graph(n, [(v, v + 1) for v in range(1, n)] + [(1, n)])
+    ws = random_float_weights(np.random.default_rng(990 + n), g)
+    schedule = Schedule.random(g, seed=n, steps=1234)
+    assert _outcome(ws, schedule, 0.0) == _every_step_run(ws, schedule, 0.0)
+
+
 def test_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
-    steps, norms = [], []
-    step, norm = ProductTracker.step, ProductTracker.seminorm
-    monkeypatch.setattr(ProductTracker, "step", lambda self, *a: steps.append(1) or step(self, *a))
-    monkeypatch.setattr(ProductTracker, "seminorm", lambda self: norms.append(1) or norm(self))
+    restores = []
+    restore = ProductTracker.restore
+    monkeypatch.setattr(ProductTracker, "restore", lambda self, *a: restores.append(a) or restore(self, *a))
     report = run(balanced_float, Schedule.random(triangle, seed=5, steps=3456), RunOptions(tol=0))
-    assert report.steps == len(steps) == 3456 and not report.converged
-    # the initial seminorm, then one per checkpoint: 1000 dense, 24 sparse, the last step
-    assert len(norms) == 1 + len(report.trace) == 1 + 1000 + 24 + 1
+    assert report.steps == 3456 and not report.converged and not restores
+    # one row per checkpoint: 1000 dense, 24 sparse, the last step
+    assert [row.t for row in report.trace] == (list(range(1, 1001)) + list(range(1100, 3401, 100))
+                                              + [3456])
 
 
 def test_min_entry_floor_worked(balanced_float, triangle):
