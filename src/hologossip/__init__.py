@@ -62,7 +62,6 @@ from .weights import (
     local_matrix,
     min_weight,
     ratio,
-    standard_gossip,
     walk_ratio,
 )
 from . import errors

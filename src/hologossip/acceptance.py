@@ -108,11 +108,11 @@ def random_float_weights(rng, g: Graph, lo: float = 0.05, hi: float = 0.95) -> W
 
 
 def random_local_product(rng, ws: WeightSet, steps: int) -> np.ndarray:
-    tracker = ProductTracker(ws.graph.n)
+    tracker = ProductTracker(ws)
     order = ws.graph.sorted_edges
     for _ in range(steps):
         e = order[int(rng.integers(0, len(order)))]
-        tracker.step(e, ws.pair(e))
+        tracker.step(e)
     return tracker.P
 
 
@@ -356,12 +356,12 @@ def criterion_scrambling_and_contraction() -> AcceptanceResult:
         n = 3 + k % 6
         g = random_connected_graph(rng, n, extra=2)
         ws = random_float_weights(rng, g)
-        tracker = ProductTracker(n)
+        tracker = ProductTracker(ws)
         for _ in range(n // 2):
             # a permutation of the full edge set covers a spanning tree
             for idx in rng.permutation(len(g.sorted_edges)):
                 e = g.sorted_edges[int(idx)]
-                tracker.step(e, ws.pair(e))
+                tracker.step(e)
         P = tracker.P
         if not is_scrambling(P):
             return AcceptanceResult(False, f"case {k}: product not scrambling")
@@ -394,12 +394,12 @@ def criterion_structural_update_fidelity() -> AcceptanceResult:
         n = 2 + k % 4
         g = random_connected_graph(rng, n, extra=2)
         ws = random_float_weights(rng, g)
-        tracker = ProductTracker(n)
+        tracker = ProductTracker(ws)
         dense = np.eye(n)
         order = g.sorted_edges
         for _ in range(20):
             e = order[int(rng.integers(0, len(order)))]
-            tracker.step(e, ws.pair(e))
+            tracker.step(e)
             dense = np.array(local_matrix(ws, e), dtype=float) @ dense
         worst = max(worst, float(np.abs(tracker.P - dense).max()))
     return AcceptanceResult(

@@ -4,17 +4,18 @@ A schedule is a finite sequence of edges: explicit, periodic, or drawn
 uniformly at random from the edge set with a seeded generator. Stepping an
 edge (i, j) left-multiplies the running product by that edge's local
 matrix, which only mixes rows i and j, so the update costs O(n) instead of
-a dense multiply. The state reached from x0 is P @ x0. A run tables each
-edge's coefficients once, and the smallest positive entry of P is kept as
-per-row floors (see ProductTracker); every result stays bit-identical.
+a dense multiply. The state reached from x0 is P @ x0. The tracker tables
+each edge's coefficients once, and the smallest positive entry of P is kept
+as per-row floors (see ProductTracker); every result stays bit-identical.
 
 A run takes the O(n^2) seminorm of the product only where its value is
 read: at the recorded trace steps and the last step, the checkpoints of
-its stopping rule. Where every step is a checkpoint, BLOCK steps share one
-pass over the rows they leave alone (ProductTracker.block). A gap between
-two sparse checkpoints that may hold a step below the tolerance is replayed
-exactly the same way (see run and RISE), so the result is bit-identical to
-testing the rule after every step.
+its stopping rule. It is one loop over segments, each ending at the next
+checkpoint. Where every step is a checkpoint, a segment's BLOCK steps share
+one pass over the rows they leave alone (ProductTracker.block). A sparse
+segment that may hold a step below the tolerance is taken again the same
+way (see run and RISE), so the result is bit-identical to testing the rule
+after every step.
 
 Diagnostics follow the standard contraction toolkit for products of
 stochastic matrices: the row-spread semi-norm (max column spread, zero
@@ -46,7 +47,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import GraphMismatch, InvalidSchedule, NotStochastic, UnknownEdge
-from .graph import Graph, UnionFind, normalize_edge
+from .graph import Graph, UnionFind
 from .weights import EdgeWeights, WeightSet, entry_floor
 
 DEFAULT_TOL = 1e-10
@@ -189,31 +190,35 @@ def classify_schedule(s: Schedule) -> ScheduleClass:
 # -- running product ----------------------------------------------------------
 
 def _mix(edge, w: EdgeWeights) -> tuple:
-    """One edge's step coefficients: 0-based rows i < j and the columns
-    c0 = [[1 - a_ij], [a_ji]] and c1 = [[a_ij], [1 - a_ji]]."""
-    i, j = normalize_edge(int(edge[0]), int(edge[1]))
+    """One canonical edge's step coefficients: 0-based rows i < j and the
+    columns c0 = [[1 - a_ij], [a_ji]] and c1 = [[a_ij], [1 - a_ji]]."""
+    i, j = edge
     a, b = float(w.a_ij), float(w.a_ji)
     return i - 1, j - 1, np.array([[1.0 - a], [b]]), np.array([[a], [1.0 - b]])
 
 
 class ProductTracker:
-    """Running left product of local matrices.
+    """Running left product of the local matrices of a weight set.
 
-    Starts at the identity. ``step`` replaces rows i and j with the rows of
-    c0 * P[i] + c1 * P[j] (see ``_mix``; ``w`` is the edge's EdgeWeights or
-    its ``_mix`` entry). Each entry is fl(fl(c x) + fl(c' y)), as in two
-    separate row updates. ``min_entry`` is the min of one positive-entry
-    floor per row. ``block`` keeps the floors of the rows it steps; after
-    ``step`` or ``restore`` the next read rebuilds them in one pass.
+    Starts at the identity, with each edge's ``_mix`` entry tabled once
+    under both orientations. ``step(edge)`` replaces rows i and j with the
+    rows of c0 * P[i] + c1 * P[j]; each entry is fl(fl(c x) + fl(c' y)), as
+    in two separate row updates. ``min_entry`` is the min of one
+    positive-entry floor per row. ``block`` keeps the floors of the rows it
+    steps; after ``step`` or ``restore`` the next read rebuilds them in one
+    pass.
     """
 
-    def __init__(self, n: int):
-        self.P = np.eye(n)
+    def __init__(self, ws: WeightSet):
+        self.P = np.eye(ws.graph.n)
         self.t = 0
-        self._floors = np.ones(n)
+        self._floors = np.ones(ws.graph.n)
+        self._mixes = {}
+        for e, w in ws.items():
+            self._mixes[e] = self._mixes[e[::-1]] = _mix(e, w)
 
-    def step(self, edge, w) -> "ProductTracker":
-        i, j, c0, c1 = w if len(w) == 4 else _mix(edge, w)
+    def step(self, edge) -> "ProductTracker":
+        i, j, c0, c1 = self._mixes[edge]
         S = c0 * self.P[i] + c1 * self.P[j]
         self.P[i] = S[0]
         self.P[j] = S[1]
@@ -237,12 +242,12 @@ class ProductTracker:
             self._floors = _positive_floors(self.P)
         return self._floors
 
-    def block(self, steps, tol: float) -> tuple:
-        """Take up to BLOCK steps, each the ``_mix`` entry of its edge, and
-        return two lists: the seminorm and the ``min_entry`` after each step,
-        up to the first seminorm below ``tol``. The tracker keeps those steps.
+    def block(self, edges, tol: float) -> list:
+        """Step through ``edges``, BLOCK at a time, and return one row
+        (t, edge, seminorm, min_entry) per step, up to the first row whose
+        seminorm is below ``tol``. The tracker keeps those steps.
 
-        The steps run on a table of versions of the rows they touch: each
+        Each block runs on a table of versions of the rows it touches: each
         row's value before the block, then the two rows each step writes.
         Gathering the versions current after each step gives the touched
         rows of every step's product. One pass over the other rows, which no
@@ -251,38 +256,44 @@ class ProductTracker:
         so every value equals the reduction of the whole product after that
         step, bit for bit.
         """
-        P, floors = self.P, self._row_floors()
-        rows = sorted({r for i, j, _, _ in steps for r in (i, j)})
-        local = {r: k for k, r in enumerate(rows)}
-        versions = np.empty((len(rows) + 2 * len(steps), P.shape[1]))
-        versions[:len(rows)] = P[rows]
-        latest, current, written = list(range(len(rows))), [], []
-        for v, (i, j, c0, c1) in zip(range(len(rows), len(versions), 2), steps):
-            li, lj = local[i], local[j]
-            np.add(c0 * versions[latest[li]], c1 * versions[latest[lj]], out=versions[v:v + 2])
-            latest[li], latest[lj] = v, v + 1
-            current.append(latest.copy())
-            written.append((li, lj))
-        touched = versions[current]  # (step, touched row, column)
-        others = np.ones(len(P), dtype=bool)
-        others[rows] = False
-        fixed = P[others]
-        hi = np.maximum(touched.max(axis=1), fixed.max(axis=0, initial=-np.inf))
-        lo = np.minimum(touched.min(axis=1), fixed.min(axis=0, initial=np.inf))
-        norms = (hi - lo).max(axis=1).tolist()
-        fixed_floor = float(floors[others].min(initial=np.inf))
-        row_floors = floors[rows].tolist()
-        new_floors = _positive_floors(versions[len(rows):]).tolist()
-        mins = []
-        for (li, lj), fi, fj, s in zip(written, new_floors[::2], new_floors[1::2], norms):
-            row_floors[li], row_floors[lj] = fi, fj
-            mins.append(min(fixed_floor, *row_floors))
-            if s < tol:
+        P, floors, out = self.P, self._row_floors(), []
+        for start in range(0, len(edges), BLOCK):
+            part = edges[start:start + BLOCK]
+            steps = [self._mixes[e] for e in part]
+            rows = sorted({r for i, j, _, _ in steps for r in (i, j)})
+            local = {r: k for k, r in enumerate(rows)}
+            versions = np.empty((len(rows) + 2 * len(steps), P.shape[1]))
+            versions[:len(rows)] = P[rows]
+            latest, current, written = list(range(len(rows))), [], []
+            for v, (i, j, c0, c1) in zip(range(len(rows), len(versions), 2), steps):
+                li, lj = local[i], local[j]
+                np.add(c0 * versions[latest[li]], c1 * versions[latest[lj]], out=versions[v:v + 2])
+                latest[li], latest[lj] = v, v + 1
+                current.append(latest.copy())
+                written.append((li, lj))
+            touched = versions[current]  # (step, touched row, column)
+            others = np.ones(len(P), dtype=bool)
+            others[rows] = False
+            fixed = P[others]
+            hi = np.maximum(touched.max(axis=1), fixed.max(axis=0, initial=-np.inf))
+            lo = np.minimum(touched.min(axis=1), fixed.min(axis=0, initial=np.inf))
+            norms = (hi - lo).max(axis=1).tolist()
+            fixed_floor = float(floors[others].min(initial=np.inf))
+            row_floors = floors[rows].tolist()
+            new_floors = _positive_floors(versions[len(rows):]).tolist()
+            mins = []
+            for (li, lj), fi, fj, s in zip(written, new_floors[::2], new_floors[1::2], norms):
+                row_floors[li], row_floors[lj] = fi, fj
+                mins.append(min(fixed_floor, *row_floors))
+                if s < tol:
+                    break
+            P[rows] = touched[len(mins) - 1]
+            floors[rows] = row_floors
+            out += zip(range(self.t + 1, self.t + len(mins) + 1), part, norms, mins)
+            self.t += len(mins)
+            if norms[len(mins) - 1] < tol:
                 break
-        P[rows] = touched[len(mins) - 1]
-        floors[rows] = row_floors
-        self.t += len(mins)
-        return norms[:len(mins)], mins
+        return out
 
 
 def _positive_floors(M: np.ndarray) -> np.ndarray:
@@ -375,94 +386,66 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     floored at LEDGER_RESOLUTION for the comparison, traces carry the raw
     value).
 
-    The seminorm is taken only at the checkpoints: the recorded steps and
-    the last step. Up to DENSE_RECORD_LIMIT every step is one, and they are
-    evaluated BLOCK at a time (``ProductTracker.block``). Past it, with
-    ``tol > 0``, the run keeps a snapshot of the product at each checkpoint
-    and the edges stepped since. When a checkpoint k steps later reads below
-    ``tol + k * RISE``, one of those steps may have been below ``tol``: the
-    run restores the snapshot and replays them, again in blocks, up to the
-    first one below ``tol``. Every output equals that of a test after every
-    step.
+    The run is one loop over segments, each ending at the next checkpoint
+    of the stopping rule, where the seminorm is taken: the recorded steps
+    and the last step. Up to DENSE_RECORD_LIMIT every step is one, and a
+    segment of at most BLOCK edges goes through ``ProductTracker.block``.
+    Past it, a segment runs to the next multiple of SPARSE_RECORD_EVERY or
+    to the end of the schedule, in single steps. With ``tol > 0`` the run
+    keeps a snapshot of the product at the segment's start; when the
+    seminorm k steps later reads below ``tol + k * RISE``, one of those
+    steps may have been below ``tol``: the run restores the snapshot, takes
+    the segment again through ``block``, and records its last row, the
+    first below ``tol`` or the segment's end. Every output equals that of a
+    test after every step.
     """
     if ws.graph != schedule.graph:
         raise GraphMismatch("weight set and schedule use different graphs")
     opts = opts or RunOptions()
-    n = ws.graph.n
     info = classify_schedule(schedule)
     eps = float(entry_floor(ws))
-    window = info.m_spanning * (n // 2) if info.m_spanning else None
-    pairs = {e: _mix(e, w) for e, w in ws.to_float().items()}
+    window = info.m_spanning * (ws.graph.n // 2) if info.m_spanning else None
 
-    tracker = ProductTracker(n)
+    tracker = ProductTracker(ws)
     trace = []
-    max_viol = None
-
-    def record(t, edge, s, low) -> None:
-        nonlocal max_viol
-        bound = None
-        if window is not None:
-            bound = (1.0 - eps) ** (t / window - 1.0)
-            viol = s - max(bound, LEDGER_RESOLUTION)
-            max_viol = viol if max_viol is None else max(max_viol, viol)
-        trace.append(TraceRow(t, edge, s, bound, low))
-
-    def advance(part) -> list:
-        """(t, edge, seminorm, min_entry) of each step of ``part``, at most
-        BLOCK edges, taken up to the first step below ``tol``."""
-        norms, mins = tracker.block([pairs[e] for e in part], opts.tol)
-        return list(zip(range(tracker.t - len(norms) + 1, tracker.t + 1), part, norms, mins))
-
-    def checkpoint(edge) -> float:
-        s, low = tracker.seminorm(), None
-        if pending and s < opts.tol + len(pending) * RISE:
-            tracker.restore(snapshot, tracker.t - len(pending))
-            for start in range(0, len(pending), BLOCK):  # the row names the step the replay stops at
-                _, edge, s, low = advance(pending[start:start + BLOCK])[-1]
-                if s < opts.tol:
-                    break
-        record(tracker.t, edge, s, tracker.min_entry() if low is None else low)
-        return s
-
+    snapshot = None
     edges = schedule.edge_list()
     s = tracker.seminorm()
-    converged = s < opts.tol
-    while not converged and tracker.t < DENSE_RECORD_LIMIT:
-        part = list(islice(edges, min(BLOCK, DENSE_RECORD_LIMIT - tracker.t)))
-        if not part:
+    while s >= opts.tol:
+        dense = tracker.t < DENSE_RECORD_LIMIT
+        segment = list(islice(edges, min(BLOCK, DENSE_RECORD_LIMIT - tracker.t) if dense
+                              else SPARSE_RECORD_EVERY - tracker.t % SPARSE_RECORD_EVERY))
+        if not segment:
             break
-        for t, edge, s, low in advance(part):
-            record(t, edge, s, low)
-        converged = s < opts.tol
-
-    # past the dense zone: a snapshot at each checkpoint and the edges since
-    snapshot = tracker.P.copy() if opts.tol > 0 and not converged else None
-    pending = []
-    for edge in () if converged else edges:
-        tracker.step(edge, pairs[edge])
-        if snapshot is not None:
-            pending.append(edge)
-        if tracker.t % SPARSE_RECORD_EVERY == 0:
-            s = checkpoint(edge)
-            converged = s < opts.tol
-            if converged:
-                break
-            if snapshot is not None:
+        if dense:
+            rows = tracker.block(segment, opts.tol)
+        else:
+            if opts.tol > 0:
+                if snapshot is None:  # not before step 1000: it would add to the peak memory
+                    snapshot = np.empty_like(tracker.P)
                 np.copyto(snapshot, tracker.P)
-                pending.clear()
-    if tracker.t and trace[-1].t != tracker.t:  # ran out between checkpoints: edge was the last step
-        s = checkpoint(edge)
-        converged = s < opts.tol
+            for edge in segment:
+                tracker.step(edge)
+            s = tracker.seminorm()
+            if opts.tol > 0 and s < opts.tol + len(segment) * RISE:
+                tracker.restore(snapshot, tracker.t - len(segment))
+                rows = tracker.block(segment, opts.tol)[-1:]
+            else:
+                rows = [(tracker.t, edge, s, tracker.min_entry())]
+        for t, edge, s, low in rows:
+            bound = (1.0 - eps) ** (t / window - 1.0) if window is not None else None
+            trace.append(TraceRow(t, edge, s, bound, low))
+    viols = [row.seminorm - max(row.bound, LEDGER_RESOLUTION)
+             for row in trace if row.bound is not None]
 
-    p_hat = tracker.P.mean(axis=0)
     return RunReport(
-        p_hat=[float(v) for v in p_hat],
+        p_hat=tracker.P.mean(axis=0).tolist(),
         P=tracker.P,
         steps=tracker.t,
-        converged=bool(converged),
+        converged=bool(s < opts.tol),
         final_seminorm=float(s),
         trace=trace,
-        max_bound_violation=max_viol,
+        max_bound_violation=max(viols) if viols else None,
         spanning=info.spanning,
         m_spanning=info.m_spanning,
         epsilon=eps,
@@ -477,13 +460,12 @@ def min_entry_floor_check(ws: WeightSet, schedule: Schedule) -> bool:
     if ws.graph != schedule.graph:
         raise GraphMismatch("weight set and schedule use different graphs")
     eps = float(entry_floor(ws))
-    tracker = ProductTracker(ws.graph.n)
+    tracker = ProductTracker(ws)
     if not tracker.min_entry() > eps:
         return False
-    pairs = {e: _mix(e, w) for e, w in ws.to_float().items()}
-    edges = schedule.edge_list()
-    while part := [pairs[e] for e in islice(edges, BLOCK)]:
-        _, mins = tracker.block(part, 0.0)  # no seminorm is below 0: every step is taken
-        if not min(mins) > eps:
+    # a step writes rows i and j only: every other row passed before or is the identity's
+    for i, j in schedule.edge_list():
+        S = tracker.step((i, j)).P[i - 1:j:j - i]  # rows i and j
+        if S.min() <= eps and ((S > 0) & (S <= eps)).any():
             return False
     return True

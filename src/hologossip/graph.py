@@ -124,10 +124,6 @@ class Walk:
 
     nodes: tuple
 
-    def steps(self):
-        """Consecutive (u, v) node pairs along the walk."""
-        return zip(self.nodes, self.nodes[1:])
-
     def __str__(self):
         return "→".join(str(v) for v in self.nodes)
 

@@ -142,12 +142,6 @@ class WeightSet(EdgeTable):
         return WeightSet(self.graph, {e: tuple(map(float, w)) for e, w in self.items()})
 
 
-def standard_gossip(graph: Graph) -> WeightSet:
-    """All weights 1/2: plain pairwise averaging, exact kind."""
-    half = Fraction(1, 2)
-    return WeightSet(graph, {e: (half, half) for e in graph.sorted_edges})
-
-
 def local_matrix(ws: WeightSet, edge):
     """Full n-by-n update matrix for one edge, as nested lists.
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from hologossip import WeightSet, build_graph
@@ -35,6 +37,11 @@ def unbalanced(triangle):
 @pytest.fixture
 def unbalanced_float(triangle):
     return WeightSet(triangle, UNBALANCED_TRIANGLE)
+
+
+def half_weights(g, half=Fraction(1, 2)):
+    """Every weight 1/2: plain pairwise averaging, exact unless ``half`` is a float."""
+    return WeightSet(g, {e: (half, half) for e in g.sorted_edges})
 
 
 def random_spanning_tree(rng, g):

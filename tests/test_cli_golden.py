@@ -59,11 +59,14 @@ UNBALANCED = {(1, 2): (F(1, 2), F(1, 2)), (2, 3): (F(1, 2), F(1, 2)), (1, 3): (F
 #: A binary tree on 1..40 plus four chords.
 TREE40 = sorted({(k // 2, k) for k in range(2, 41)} | {(3, 40), (7, 29), (12, 33), (1, 25)})
 
+#: The edges of the 20-cycle, (1, 20) last.
+CYCLE20 = [[k, k + 1] for k in range(1, 20)] + [[1, 20]]
+
 INPUTS = {
     "tri.json": {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]},
     "path4.json": {"n": 4, "edges": [[1, 2], [2, 3], [3, 4]]},
     "cyc50.json": {"n": 50, "edges": [[k, k + 1] for k in range(1, 50)] + [[1, 50]]},
-    "cyc20.json": {"n": 20, "edges": [[k, k + 1] for k in range(1, 20)] + [[1, 20]]},
+    "cyc20.json": {"n": 20, "edges": CYCLE20},
     "bal_exact.json": _triangle_weights(BALANCED, True),
     "bal_float.json": _triangle_weights(BALANCED, False),
     "unbal_exact.json": _triangle_weights(UNBALANCED, True),
@@ -76,8 +79,7 @@ INPUTS = {
     "explicit.json": {"type": "explicit", "edges": [[1, 2], [3, 2], [1, 3], [2, 1]]},
     "periodic.json": {"type": "periodic", "period": [[1, 2], [2, 3], [1, 3]], "repetitions": 400},
     "random.json": {"type": "random", "steps": 5000, "seed": 11},
-    "periodic20.json": {"type": "periodic", "period": [[k, k + 1] for k in range(1, 20)] + [[1, 20]],
-                        "repetitions": 200},
+    "periodic20.json": {"type": "periodic", "period": CYCLE20, "repetitions": 200},
     "dup.json": _triangle_weights(BALANCED, False) + [{"edge": [2, 1], "a_ij": 0.3, "a_ji": 0.2}],
     "short.json": _triangle_weights(BALANCED, True)[:2],
     "range.json": [{"edge": [1, 2], "a_ij": 1.5, "a_ji": 0.3}] + _triangle_weights(BALANCED, False)[1:],
@@ -90,6 +92,11 @@ INPUTS = {
     "periodic_t40.json": {"type": "periodic", "repetitions": 69,
                           "period": [list(e) for e in sorted(
                               TREE40, key=lambda e: (7 * e[0] + 3 * e[1]) % 11)]},
+    # the 20-cycle's edges in order: 1000 edges end at the last densely recorded step;
+    # 1101 end one edge past a sparse checkpoint, on an edge that takes the seminorm
+    # below every earlier one (0.02749, against 0.02783 at step 1100)
+    "e1000.json": {"type": "explicit", "edges": CYCLE20 * 50},
+    "e1101.json": {"type": "explicit", "edges": CYCLE20 * 55 + [[4, 5]]},
 }
 RAW_INPUTS = {"broken.json": '{"n": 3,\n "edges": [[1, 2],]}'}
 
@@ -142,6 +149,10 @@ COMMANDS = [
       "--trace", "q100.tsv", "--report", "q100.json"], ["q100.tsv", "q100.json"]),
     (["simulate", "tree40.json", "t40_float.json", "--schedule", "periodic_t40.json",
       "--tol", "0.15", "--trace", "t40.tsv", "--report", "t40.json"], ["t40.tsv", "t40.json"]),
+    (["simulate", "cyc20.json", "c20_float.json", "--schedule", "e1000.json",
+      "--trace", "x1000.tsv", "--report", "x1000.json"], ["x1000.tsv", "x1000.json"]),
+    (["simulate", "cyc20.json", "c20_float.json", "--schedule", "e1101.json", "--tol", "0.0276",
+      "--trace", "x1101.tsv", "--report", "x1101.json"], ["x1101.tsv", "x1101.json"]),
 ]
 
 

@@ -21,7 +21,8 @@ from hologossip.design import (
 )
 from hologossip.graph import build_graph
 from hologossip.limit import consensus_limit
-from hologossip.weights import WeightSet, check_holonomy, standard_gossip
+from hologossip.weights import WeightSet, check_holonomy
+from conftest import half_weights
 
 
 def _pair(ws, e):
@@ -37,7 +38,7 @@ def test_weight_ratios_worked(balanced):
 
 
 def test_weight_ratios_standard_gossip_all_ones(triangle):
-    y = weight_ratios(standard_gossip(triangle))
+    y = weight_ratios(half_weights(triangle))
     assert all(v == 1 for _, v in y.items())
 
 

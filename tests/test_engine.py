@@ -31,39 +31,41 @@ from hologossip.engine import (
 )
 from hologossip.graph import UnionFind, build_graph
 from hologossip.limit import verify_left_eigenvector
-from hologossip.weights import EdgeWeights, WeightSet, entry_floor, local_matrix
+from hologossip.weights import WeightSet, entry_floor, local_matrix
+from conftest import half_weights
 
 
 def test_gossip_step_worked(balanced_float):
     # the README example: a step on edge (1, 2) with (a_12, a_21) = (0.2, 0.3)
     # takes the state x = [1, 0, 0] to P @ x
-    P = ProductTracker(3).step((1, 2), balanced_float.pair((1, 2))).P
+    P = ProductTracker(balanced_float).step((1, 2)).P
     assert list(P @ [1.0, 0.0, 0.0]) == [0.8, 0.3, 0.0]
 
 
 def test_gossip_step_fixes_consensus(balanced_float):
-    P = ProductTracker(3).step((2, 3), balanced_float.pair((2, 3))).P
+    P = ProductTracker(balanced_float).step((2, 3)).P
     assert np.array_equal(P @ np.full(3, 0.7), np.full(3, 0.7))
 
 
 def test_gossip_step_plain_average():
-    P = ProductTracker(2).step((1, 2), EdgeWeights(0.5, 0.5)).P
+    P = ProductTracker(half_weights(build_graph(2, [(1, 2)]), 0.5)).step((1, 2)).P
     assert list(P @ [1.0, 0.0]) == [0.5, 0.5]
 
 
 def test_tracker_single_step_is_local_matrix(balanced_float):
-    tracker = ProductTracker(3)
-    tracker.step((1, 2), balanced_float.pair((1, 2)))
+    tracker = ProductTracker(balanced_float)
+    tracker.step((1, 2))
     assert np.array_equal(tracker.P, np.array(local_matrix(balanced_float, (1, 2)), dtype=float))
     assert tracker.t == 1
+    assert np.array_equal(ProductTracker(balanced_float).step((2, 1)).P, tracker.P)
 
 
 def test_tracker_two_steps_order_sensitive(balanced_float):
     a12 = np.array(local_matrix(balanced_float, (1, 2)), dtype=float)
     a23 = np.array(local_matrix(balanced_float, (2, 3)), dtype=float)
-    tracker = ProductTracker(3)
-    tracker.step((1, 2), balanced_float.pair((1, 2)))
-    tracker.step((2, 3), balanced_float.pair((2, 3)))
+    tracker = ProductTracker(balanced_float)
+    tracker.step((1, 2))
+    tracker.step((2, 3))
     assert np.allclose(tracker.P, a23 @ a12, atol=1e-15)
     assert not np.allclose(tracker.P, a12 @ a23, atol=1e-3)
 
@@ -72,11 +74,11 @@ def test_tracker_support_never_shrinks():
     rng = np.random.default_rng(67)
     g = random_connected_graph(rng, 5, extra=2)
     ws = random_float_weights(rng, g)
-    tracker = ProductTracker(5)
+    tracker = ProductTracker(ws)
     prev = tracker.P > 0
     for _ in range(30):
         e = g.sorted_edges[int(rng.integers(0, len(g.sorted_edges)))]
-        tracker.step(e, ws.pair(e))
+        tracker.step(e)
         cur = tracker.P > 0
         assert (cur >= prev).all()
         prev = cur
@@ -86,10 +88,10 @@ def test_tracker_rows_stay_stochastic():
     rng = np.random.default_rng(83)
     g = random_connected_graph(rng, 6, extra=3)
     ws = random_float_weights(rng, g)
-    tracker = ProductTracker(6)
+    tracker = ProductTracker(ws)
     for _ in range(300):
         e = g.sorted_edges[int(rng.integers(0, len(g.sorted_edges)))]
-        tracker.step(e, ws.pair(e))
+        tracker.step(e)
         assert np.abs(tracker.P.sum(axis=1) - 1.0).max() <= 1e-12
         assert (tracker.P >= 0).all()
 
@@ -542,8 +544,9 @@ def test_runs_that_end_inside_a_block_match_every_step_rule():
     ws, schedule, _ = _slow_case(2)
     edges = list(schedule.edge_list())
     # a partial first block, a partial last dense block, and a gap of 61 edges
-    # (7 blocks and 5 edges) that the last checkpoint replays
-    for length in (5, 997, 1061):
+    # (7 blocks and 5 edges) that the last checkpoint replays; then the end of the
+    # dense zone, one edge past it, a sparse checkpoint, and one edge past that
+    for length in (5, 997, 1061, 1000, 1001, 1100, 1101):
         part = Schedule.explicit(ws.graph, edges[:length])
         last = float(_seminorms(ws, part)[length])
         for tol in (0.0, last / 2, float(np.nextafter(last, 1.0))):
@@ -612,13 +615,13 @@ def test_min_entry_matches_mask_on_long_runs_with_zeros():
 
 
 def test_restore_refreshes_every_row_floor(balanced_float):
-    tracker = ProductTracker(3)
-    tracker.step((1, 2), balanced_float.pair((1, 2)))
+    tracker = ProductTracker(balanced_float)
+    tracker.step((1, 2))
     assert tracker.min_entry() == 0.2
     snapshot = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.25, 0.75]])
     tracker.restore(snapshot, 0)
     assert tracker.t == 0 and tracker.min_entry() == 0.25
-    assert tracker.step((2, 3), balanced_float.pair((2, 3))).min_entry() == _min_positive(tracker.P)
+    assert tracker.step((2, 3)).min_entry() == _min_positive(tracker.P)
 
 
 def _tiny_weights(rng, g):
@@ -656,6 +659,23 @@ def test_min_entry_floor_check_matches_mask():
         assert min_entry_floor_check(ws, schedule) == expected
         outcomes.append(expected)
     assert 5 <= sum(outcomes) <= 35
+    # a path and a cycle at n >= 40, where most rows stay untouched for many steps;
+    # on the all-1/2 path a sweep from node n down to node 1 puts 2**-(n-1), the
+    # floor itself, into row 1
+    outcomes = []
+    for n, chord in ((40, []), (48, [(1, 48)])):
+        g = build_graph(n, [(v, v + 1) for v in range(1, n)] + chord)
+        rng = np.random.default_rng(n)
+        steps = [g.sorted_edges[int(k)] for k in rng.integers(0, len(g.sorted_edges), 300)]
+        sweep = [(v, v + 1) for v in range(n - 1, 0, -1)]
+        for ws, edges in ((half_weights(g, 0.5), steps[:150] + sweep + steps[150:]),
+                          (random_float_weights(rng, g), steps)):
+            schedule = Schedule.explicit(g, edges)
+            eps = float(entry_floor(ws))
+            expected = all(_min_positive(P) > eps for _, P in _plain_steps(ws, schedule.edge_list()))
+            assert min_entry_floor_check(ws, schedule) == expected
+            outcomes.append(expected)
+    assert True in outcomes and False in outcomes
 
 
 def test_contraction_inequality_random_products():
@@ -675,11 +695,11 @@ def test_spanning_string_products_scramble():
         n = 3 + int(rng.integers(0, 6))
         g = random_connected_graph(rng, n, extra=1)
         ws = random_float_weights(rng, g)
-        tracker = ProductTracker(n)
+        tracker = ProductTracker(ws)
         for _ in range(max(1, n // 2)):
             for idx in rng.permutation(len(g.sorted_edges)):
                 e = g.sorted_edges[int(idx)]
-                tracker.step(e, ws.pair(e))
+                tracker.step(e)
         P = tracker.P
         assert is_scrambling(P)
         assert ergodicity_coefficient(P) <= 1 - float(P[P > 0].min()) + 1e-12

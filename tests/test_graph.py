@@ -118,7 +118,7 @@ def test_fundamental_cycles_random_count_and_shape():
         for c in cycles:
             assert c.nodes[0] == c.nodes[-1]
             assert len(set(c.nodes)) >= 3
-            assert all(g.has_edge(u, v) for u, v in c.steps())
+            assert all(g.has_edge(u, v) for u, v in zip(c.nodes, c.nodes[1:]))
 
 
 def test_spanning_tree_containing_keeps_required_edges():

@@ -19,8 +19,8 @@ from hologossip.limit import (
     tree_vector,
     verify_left_eigenvector,
 )
-from hologossip.weights import WeightSet, check_holonomy, standard_gossip
-from conftest import random_spanning_tree
+from hologossip.weights import WeightSet, check_holonomy
+from conftest import half_weights, random_spanning_tree
 
 
 def test_consensus_limit_worked_example(balanced):
@@ -39,7 +39,7 @@ def test_consensus_limit_other_base_scales_potential(balanced):
 def test_standard_gossip_limit_is_uniform():
     for edges in ([(1, 2), (2, 3), (1, 3)], [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3)]):
         g = build_graph(max(max(e) for e in edges), edges)
-        _, p = consensus_limit(standard_gossip(g))
+        _, p = consensus_limit(half_weights(g))
         assert p.entries == tuple(F(1, g.n) for _ in range(g.n))
 
 

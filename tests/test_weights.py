@@ -20,9 +20,9 @@ from hologossip.weights import (
     local_matrix,
     min_weight,
     ratio,
-    standard_gossip,
     walk_ratio,
 )
+from conftest import half_weights
 
 # weights in (0,1) on a denominator-24 grid, never equal to 0 or 1
 grid_weight = st.integers(min_value=1, max_value=23).map(lambda k: F(k, 24))
@@ -35,7 +35,7 @@ def test_local_matrix_worked_example(balanced_float):
 
 
 def test_local_matrix_standard_gossip_block(triangle):
-    ws = standard_gossip(triangle)
+    ws = half_weights(triangle)
     m = local_matrix(ws, (2, 3))
     assert m[1][1] == m[1][2] == m[2][1] == m[2][2] == F(1, 2)
 
@@ -101,7 +101,7 @@ def test_weight_orientation_flip(triangle):
 def test_ratio_worked_examples(balanced):
     assert ratio(balanced, 1, 2) == F(2, 3)
     assert ratio(balanced, 2, 1) == F(3, 2)
-    sym = standard_gossip(balanced.graph)
+    sym = half_weights(balanced.graph)
     assert ratio(sym, 3, 1) == 1
 
 
@@ -217,7 +217,7 @@ def test_min_weight_and_floor_worked(balanced):
 
 def test_min_weight_standard_gossip():
     g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
-    ws = standard_gossip(g)
+    ws = half_weights(g)
     assert min_weight(ws) == F(1, 2)
     assert entry_floor(ws) == F(1, 8)
 
