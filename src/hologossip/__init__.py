@@ -9,10 +9,8 @@ while verifying a geometric decay certificate.
 """
 
 from .design import (
-    BoxPoint,
-    RatioVector,
+    box_point,
     design_for,
-    distribution_from_ratios,
     distribution_ratios,
     sample_box_point,
     weight_ratios,

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .design import BoxPoint, design_for, weight_ratios
+from .design import box_point, design_for, weight_ratios
 from .engine import (
     ProductTracker,
     RunOptions,
@@ -86,9 +86,9 @@ def random_rational_simplex(rng, n: int, max_num: int = 8) -> list:
     return [Fraction(v, total) for v in nums]
 
 
-def random_rational_box(rng, g: Graph, lo: int = 7, hi: int = 13, den: int = 20) -> BoxPoint:
+def random_rational_box(rng, g: Graph, lo: int = 7, hi: int = 13, den: int = 20) -> tuple:
     vals = [Fraction(int(rng.integers(lo, hi + 1)), den) for _ in g.sorted_edges]
-    return BoxPoint.from_sequence(g, vals)
+    return box_point(g, vals)
 
 
 def random_rational_weights(rng, g: Graph, den: int = 20) -> WeightSet:
@@ -281,7 +281,7 @@ def criterion_fiber_property() -> AcceptanceResult:
         if vals in seen:
             continue
         seen.add(vals)
-        boxes.append(BoxPoint.from_sequence(g, list(vals)))
+        boxes.append(box_point(g, vals))
     sets = [design_for(p, g, x) for x in boxes]
     ratios = [weight_ratios(ws) for ws in sets]
     if any(r != ratios[0] for r in ratios[1:]):

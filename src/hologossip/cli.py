@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from . import files
-from .design import BoxPoint, design_for, sample_box_point
+from .design import box_point, design_for, sample_box_point
 from .engine import RunOptions, Schedule, run
 from .errors import (
     FileFormatError,
@@ -111,7 +111,7 @@ def cmd_design(args) -> int:
 
     if args.x is not None:
         xs = _parse_values(args.x, "--x")
-        x = BoxPoint.from_sequence(g, xs)
+        x = box_point(g, xs)
     elif args.seed is not None:
         x = sample_box_point(g, args.seed)
     else:

@@ -67,13 +67,10 @@ class NotUnitSum(HologossipError):
     """Raised on a probability vector whose entries do not sum to one."""
 
 
-class NotBalanced(HologossipError):
-    """Raised when a ratio vector has a cycle product different from one."""
-
-
 class ParameterOutOfRange(HologossipError):
-    """Raised on a box parameter outside the open interval (0, 1), a
-    nonpositive ratio, or a negative sampling seed."""
+    """Raised on a box parameter outside the open interval (0, 1), a ratio
+    that is not positive and finite, a box point or ratio tuple of the wrong
+    length, or a negative sampling seed."""
 
 
 # -- engine ------------------------------------------------------------------

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NonInteriorVector, NotHolonomic, NotUnitSum, UnrepresentableLimit
-from .graph import SpanningTree, normalize_edge, spanning_tree, spanning_tree_containing
+from .graph import SpanningTree, normalize_edge, spanning_tree_containing
 from .weights import TreePotentials, WeightSet, check_holonomy, is_exact
 
 #: Max per-entry deviation tolerated by float-mode vector checks.
@@ -74,12 +74,12 @@ def _normalized(pot: TreePotentials) -> ProbabilityVector:
 def consensus_limit(ws: WeightSet, base: int = 1):
     """Limit distribution of any spanning schedule for a balanced weight set.
 
-    After :func:`hologossip.weights.check_holonomy`, one
+    :func:`hologossip.weights.check_holonomy` from ``base`` runs one
     :class:`hologossip.weights.TreePotentials` pass over the breadth-first
-    tree from ``base`` gives each node the product of directed ratios along
-    its tree path from ``base``. The normalized potentials form the limit,
-    independent of ``base``; O(n + m) in all. Float potentials past float64
-    read inf or 0 in the Potential.
+    tree from ``base``, which gives each node the product of directed ratios
+    along its tree path from ``base``. The normalized potentials of that
+    pass form the limit, independent of ``base``; O(n + m) in all. Float
+    potentials past float64 read inf or 0 in the Potential.
 
     Returns:
         (Potential, ProbabilityVector)
@@ -89,16 +89,16 @@ def consensus_limit(ws: WeightSet, base: int = 1):
             would depend on the schedule; use :func:`tree_vector` for the
             vector attached to one spanning tree).
         UnrepresentableLimit: when a float limit entry falls outside float64.
+        InvalidNode: when ``base`` is outside 1..n, balanced or not.
     """
-    report = check_holonomy(ws)
+    report = check_holonomy(ws, root=base)
     if not report.holonomic:
         w = report.witness
         raise NotHolonomic(
             f"weights are not cycle-balanced: cycle {w.cycle} has ratio {w.ratio}",
             witness=w,
         )
-    t = spanning_tree(ws.graph, root=base)
-    pot = TreePotentials(t, ws)
+    pot = report.potentials
     return Potential(pot.values(), base), _normalized(pot)
 
 

@@ -5,15 +5,15 @@ open interval (0, 1): a_ij is the weight agent i places on agent j's value
 during a pairwise update, and vice versa. A weight set is homogeneous in
 scalar kind: either every weight is an exact ``fractions.Fraction`` or every
 weight is a float. Exact sets make the cycle-balance decision exact; float
-sets fall back to a relative tolerance. ``EdgeTable`` keeps the one
-canonical-edge rule for every per-edge table: weight sets here, ratio
-vectors and box points in ``design``.
+sets fall back to a relative tolerance. ``WeightSet`` is the package's one
+per-edge table; the ratios and box parameters of ``design`` are plain tuples
+in ``Graph.sorted_edges`` order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -22,8 +22,8 @@ from .graph import Graph, SpanningTree, Walk, fundamental_cycle, spanning_tree
 
 Scalar = Union[Fraction, float]
 
-#: Relative tolerance on the cycle products of float weight sets and ratio
-#: vectors, |R - 1| <= HOLONOMY_TOL. Exact values are decided exactly.
+#: Relative tolerance on the cycle products of float weight sets,
+#: |R - 1| <= HOLONOMY_TOL. Exact values are decided exactly.
 HOLONOMY_TOL = 1e-9
 
 
@@ -42,104 +42,72 @@ class EdgeWeights(NamedTuple):
     a_ji: Scalar
 
 
-class EdgeTable:
-    """One value per graph edge, stored under the canonical key (i, j), i < j.
-
-    Built from ``{(i, j): value}`` with keys in either orientation; a key
-    given as (j, i) stores ``_flip(value)``. Every edge must be given exactly
-    once. Subclasses supply ``noun``, the value check ``_check`` and
-    ``_flip``; the default flip keeps the value. ``exact`` holds when every
-    scalar is an exact rational, and fails on a table with no edges.
-    """
-
-    def __init__(self, graph: Graph, values):
-        store = {}
-        for key, v in values.items():
-            i, j = int(key[0]), int(key[1])
-            e = graph.require_edge(i, j)
-            if e in store:
-                raise UnknownEdge(f"edge ({i},{j}) given more than once")
-            v = self._check(v, e)
-            store[e] = self._flip(v) if i > j else v
-        if len(store) < len(graph.edges):
-            raise UnknownEdge(f"no {self.noun} for edges {sorted(graph.edges - set(store))}")
-        self.graph = graph
-        self._values = store
-        self._kinds = {is_exact(v) for v in self._scalars()}
-        self.exact = self._kinds == {True}
-
-    def _flip(self, v):
-        return v
-
-    def _scalars(self):
-        return self._values.values()
-
-    def value(self, edge):
-        """The stored value of an edge given in either orientation."""
-        return self._values[self.graph.require_edge(*edge)]
-
-    def get(self, i: int, j: int):
-        """The value read in the orientation (i, j)."""
-        v = self.value((i, j))
-        return v if i < j else self._flip(v)
-
-    def items(self):
-        """(edge, value) pairs in ascending edge order."""
-        return [(e, self._values[e]) for e in self.graph.sorted_edges]
-
-    def one(self) -> Scalar:
-        return Fraction(1) if self.exact else 1.0
-
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.graph == other.graph
-            and self._values == other._values
-        )
-
-    def __hash__(self):
-        return hash((self.graph, tuple(self.items())))
-
-
-class WeightSet(EdgeTable):
-    """One weight pair per graph edge; immutable after construction."""
-
-    noun = "weights"
+class WeightSet:
+    """One weight pair per graph edge, stored under the canonical key (i, j),
+    i < j; immutable after construction. ``exact`` holds when every weight is
+    an exact rational, and fails on a graph with no edges."""
 
     def __init__(self, graph: Graph, pairs):
         """Build from ``{(i, j): (a_ij, a_ji)}`` with keys in either orientation.
 
         For a key given as (j, i) with j > i the pair is stored flipped so
-        the canonical record keeps its meaning.
+        the canonical record keeps its meaning. Every edge must be given
+        exactly once.
         """
-        super().__init__(graph, pairs)
-        if len(self._kinds) > 1:
+        store = {}
+        for key, pair in pairs.items():
+            i, j = int(key[0]), int(key[1])
+            e = graph.require_edge(i, j)
+            if e in store:
+                raise UnknownEdge(f"edge ({i},{j}) given more than once")
+            for v in pair:
+                if not (0 < v < 1):
+                    raise WeightOutOfRange(f"weight {v} on edge {e} outside (0,1)")
+            w = EdgeWeights(*pair)
+            store[e] = EdgeWeights(w.a_ji, w.a_ij) if i > j else w
+        if len(store) < len(graph.edges):
+            raise UnknownEdge(f"no weights for edges {sorted(graph.edges - set(store))}")
+        kinds = {is_exact(v) for w in store.values() for v in w}
+        if len(kinds) > 1:
             raise MixedScalarKinds("weight set mixes exact rationals and floats")
+        self.graph = graph
+        self._pairs = store
+        self.exact = kinds == {True}
 
-    def _check(self, pair, e):
-        for v in pair:
-            if not (0 < v < 1):
-                raise WeightOutOfRange(f"weight {v} on edge {e} outside (0,1)")
-        return EdgeWeights(*pair)
+    def pair(self, edge) -> EdgeWeights:
+        """The stored pair of an edge given in either orientation."""
+        return self._pairs[self.graph.require_edge(*edge)]
 
-    def _flip(self, w):
-        return EdgeWeights(w.a_ji, w.a_ij)
-
-    def _scalars(self):
-        return (v for w in self._values.values() for v in w)
-
-    pair = EdgeTable.value
-    #: (a_ij, a_ji) read in the orientation (i, j): the terms of the ratio.
-    terms = EdgeTable.get
+    def terms(self, i: int, j: int) -> EdgeWeights:
+        """(a_ij, a_ji) read in the orientation (i, j): the terms of the ratio."""
+        w = self.pair((i, j))
+        return w if i < j else EdgeWeights(w.a_ji, w.a_ij)
 
     def weight(self, i: int, j: int) -> Scalar:
         """The weight a_ij that agent i places on agent j's value."""
-        return self.get(i, j).a_ij
+        return self.terms(i, j).a_ij
+
+    def items(self):
+        """(edge, pair) in ascending edge order."""
+        return [(e, self._pairs[e]) for e in self.graph.sorted_edges]
+
+    def one(self) -> Scalar:
+        return Fraction(1) if self.exact else 1.0
 
     def to_float(self) -> "WeightSet":
         if not self.exact:
             return self
         return WeightSet(self.graph, {e: tuple(map(float, w)) for e, w in self.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.graph == other.graph
+            and self._pairs == other._pairs
+        )
+
+    def __hash__(self):
+        return hash((self.graph, tuple(self.items())))
 
 
 def local_matrix(ws: WeightSet, edge):
@@ -163,48 +131,48 @@ def local_matrix(ws: WeightSet, edge):
     return m
 
 
-def ratio(table, i: int, j: int) -> Scalar:
-    """Directed ratio of a weight set (a_ij / a_ji) or of a ratio vector, read
-    off ``table.terms``; reciprocal under orientation swap."""
-    num, den = table.terms(i, j)
+def ratio(ws: WeightSet, i: int, j: int) -> Scalar:
+    """Directed ratio a_ij / a_ji of a weight set; reciprocal under
+    orientation swap."""
+    num, den = ws.terms(i, j)
     return num / den
 
 
-def walk_ratio(table, w) -> Scalar:
+def walk_ratio(ws: WeightSet, w) -> Scalar:
     """Product of directed ratios along a walk; 1 for empty or single-node walks.
 
     Multiplicative over concatenation, and equal to 1 on any walk followed
     by its own inverse.
     """
     nodes = w.nodes if isinstance(w, Walk) else tuple(w)
-    value = table.one()
+    value = ws.one()
     for u, v in zip(nodes, nodes[1:]):
-        if not table.graph.has_edge(u, v):
+        if not ws.graph.has_edge(u, v):
             raise InvalidWalk(f"({u},{v}) is not an edge of the graph")
-        value = value * ratio(table, u, v)
+        value = value * ratio(ws, u, v)
     return value
 
 
 class TreePotentials:
     """Node potentials over one spanning tree, each computed once, from its parent's.
 
-    q_root = 1 and q_v = q_parent(v) * ratio(parent(v), v) over a weight set
-    or a ratio vector: the ratios of the root-to-v tree walk, multiplied in
+    q_root = 1 and q_v = q_parent(v) * ratio(parent(v), v) over a weight
+    set: the ratios of the root-to-v tree walk, multiplied in
     walk order as walking it would. A potential is filled in when first
     needed, so the whole tree costs n - 1 ratios. Exact sets keep q_v as a
     Fraction with exponent 0; float sets as a ``math.frexp`` mantissa and
     exponent, which cannot overflow.
     """
 
-    def __init__(self, t: SpanningTree, table):
-        self.t, self.table, self.exact = t, table, table.exact
+    def __init__(self, t: SpanningTree, ws: WeightSet):
+        self.t, self.ws, self.exact = t, ws, ws.exact
         self._q = {t.root: (Fraction(1), 0) if self.exact else math.frexp(1.0)}
 
     def _ratio(self, u: int, v: int) -> tuple:
         """(mantissa, exponent) of the ratio u->v. Float terms are split apart
         first, so a ratio past float64 is carried like any other; one that is
         a normal float gets the bits of ``math.frexp(num / den)``."""
-        num, den = self.table.terms(u, v)
+        num, den = self.ws.terms(u, v)
         if self.exact:
             return num / den, 0
         (ma, ea), (mb, eb) = math.frexp(num), math.frexp(den)
@@ -242,7 +210,7 @@ class TreePotentials:
         None; ``margin`` the worst |log R|, 0.0 on a tree.
         """
         failing, margin = None, 0.0
-        for i, j in (e for e in self.table.graph.sorted_edges if e not in self.t.edges):
+        for i, j in (e for e in self.ws.graph.sorted_edges if e not in self.t.edges):
             (mi, ei), (mj, ej), (mr, er) = self[i], self[j], self._ratio(j, i)
             if self.exact:
                 num, den = (mj * mr / mi).as_integer_ratio()
@@ -270,24 +238,27 @@ class HolonomyReport:
     holonomic: bool
     witness: Optional[HolonomyWitness] = None
     margin: float = 0.0  # worst |log R| over the fundamental cycles; 0.0 for a tree
+    #: the pass that decided the check, for callers that go on to the potentials
+    potentials: Optional[TreePotentials] = field(default=None, compare=False, repr=False)
 
 
-def check_holonomy(table) -> HolonomyReport:
+def check_holonomy(ws: WeightSet, root: int = 1) -> HolonomyReport:
     """Decide whether every cycle has ratio product one, in O(n + m).
 
-    Works on a weight set or a ratio vector. :meth:`TreePotentials.residuals`
-    over the breadth-first tree rooted at node 1 tests the fundamental
-    cycles, which determine the product over every cycle: walk products are
-    multiplicative over concatenation and cancel on back-and-forth steps.
-    Float values use |R - 1| <= HOLONOMY_TOL. Only the first failing cycle
-    is built, as the witness, with its ratio from :func:`walk_ratio`.
+    :meth:`TreePotentials.residuals` over the breadth-first tree rooted at
+    ``root`` tests the fundamental cycles, which determine the product over
+    every cycle: walk products are multiplicative over concatenation and
+    cancel on back-and-forth steps. Float weights use |R - 1| <=
+    HOLONOMY_TOL. Only the first failing cycle is built, as the witness,
+    with its ratio from :func:`walk_ratio`. The report keeps the pass.
     """
-    t = spanning_tree(table.graph, root=1)
-    failing, margin = TreePotentials(t, table).residuals()
+    t = spanning_tree(ws.graph, root=root)
+    pot = TreePotentials(t, ws)
+    failing, margin = pot.residuals()
     if failing is None:
-        return HolonomyReport(True, None, margin)
+        return HolonomyReport(True, None, margin, pot)
     cycle = fundamental_cycle(t, *failing)
-    return HolonomyReport(False, HolonomyWitness(cycle, walk_ratio(table, cycle)), margin)
+    return HolonomyReport(False, HolonomyWitness(cycle, walk_ratio(ws, cycle)), margin, pot)
 
 
 def min_weight(ws: WeightSet) -> Scalar:
@@ -296,7 +267,8 @@ def min_weight(ws: WeightSet) -> Scalar:
     Equals the minimum of {a, 1-a} over every directed weight. For a graph
     with no edges the only product is the identity, so the floor is 1.
     """
-    return min((v for a in ws._scalars() for v in (a, 1 - a)), default=ws.one())
+    return min((v for w in ws._pairs.values() for a in w for v in (a, 1 - a)),
+               default=ws.one())
 
 
 def entry_floor(ws: WeightSet) -> Scalar:

@@ -189,6 +189,22 @@ def test_cmd_limit_base_flag_and_float_rendering(workdir, capsys):
     assert main(["limit", g, w, "--base", "9"]) == 2
 
 
+def test_cmd_limit_missing_base_exits_2_on_unbalanced_set(workdir, capsys):
+    _, write = workdir
+    g, w = write("g.json", TRIANGLE_GRAPH), write("u.json", UNBALANCED_FLOAT)
+    for base in ("9", "0"):  # malformed input, as on a balanced set
+        assert main(["limit", g, w, "--base", base]) == 2
+        assert capsys.readouterr().err == f"error: root {base} outside 1..3\n"
+
+
+def test_cmd_limit_witness_cycle_is_from_base_tree(workdir, capsys):
+    _, write = workdir
+    g, w = write("g.json", TRIANGLE_GRAPH), write("u.json", UNBALANCED_FLOAT)
+    assert main(["limit", g, w, "--base", "2"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: weights are not cycle-balanced: cycle 1→2→3→1 has ratio 2.0\n")
+
+
 def test_cmd_limit_standard_gossip(workdir, capsys):
     _, write = workdir
     g = write("g.json", TRIANGLE_GRAPH)

@@ -153,6 +153,16 @@ COMMANDS = [
       "--trace", "x1000.tsv", "--report", "x1000.json"], ["x1000.tsv", "x1000.json"]),
     (["simulate", "cyc20.json", "c20_float.json", "--schedule", "e1101.json", "--tol", "0.0276",
       "--trace", "x1101.tsv", "--report", "x1101.json"], ["x1101.tsv", "x1101.json"]),
+    # a quotient past float64 makes every ratio exact; exact box parameters then give
+    # Fraction weights, float ones float weights
+    (["design", "tri.json", "--target", "5e-324,0.5,0.5", "--x", "0.5,0.5,0.5"], []),
+    (["design", "tri.json", "--target", "5e-324,0.5,0.5", "--x", "1/2,1/3,1/4"], []),
+    (["design", "tri.json", "--target", "0.5,5e-324,0.5", "--x", "0.5,0.25,0.5"], []),
+    (["design", "tri.json", "--target", "5e-324,0.5,0.5", "--x", "0.2,0.2,0.2"], []),
+    (["design", "tri.json", "--target", "5e-324,0.5,0.5", "--x", "0.5,0.5"], []),
+    (["design", "tri.json", "--target", "5e-324,0.5,0.5", "--x", "0.5,1.5,0.5"], []),
+    (["design", "tri.json", "--target", "5e-324,0.5,0.5", "--x", "0.5,nan,0.5"], []),
+    (["design", "tri.json", "--target", "1/2,1/3,1/6", "--seed", "3"], []),
 ]
 
 
