@@ -10,6 +10,7 @@ controls diagnostic verbosity on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -200,6 +201,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_NEGATIVE
 
 
+@functools.cache  # built once per process: a worker that runs many commands reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hologossip",
@@ -255,8 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except HologossipError as exc:

@@ -11,8 +11,9 @@ as per-row floors (see ProductTracker); every result stays bit-identical.
 A run takes the O(n^2) seminorm of the product only where its value is
 read: at the recorded trace steps and the last step, the checkpoints of
 its stopping rule. It is one loop over segments, each ending at the next
-checkpoint. Where every step is a checkpoint, a segment's BLOCK steps share
-one pass over the rows they leave alone (ProductTracker.block). A sparse
+checkpoint. Where every step is a checkpoint, a segment's block_length(n)
+steps share one pass over the rows they leave alone (ProductTracker.block),
+so a block of many short steps pays its fixed numpy calls once. A sparse
 segment that may hold a step below the tolerance is taken again the same
 way (see run and RISE), so the result is bit-identical to testing the rule
 after every step.
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,10 +61,6 @@ LEDGER_RESOLUTION = 1e-15
 
 #: Random schedules draw this many edge indices at a time.
 DRAW_CHUNK = 4096
-
-#: ProductTracker.block takes at most this many steps: its temporaries hold
-#: BLOCK states of the at most 2 * BLOCK rows the steps touch.
-BLOCK = 8
 
 #: Trace recording policy: every step up to this bound, ...
 DENSE_RECORD_LIMIT = 1000
@@ -189,6 +186,13 @@ def classify_schedule(s: Schedule) -> ScheduleClass:
 
 # -- running product ----------------------------------------------------------
 
+def block_length(n: int) -> int:
+    """Steps K per ProductTracker.block on n nodes. Its temporaries hold K *
+    min(2K, n) * n floats: at most 4096 at small n, where a block's fixed numpy
+    calls outweigh its steps, and K = 8 from n = 22 up (longer was slower at 200)."""
+    return max(8, min(DENSE_RECORD_LIMIT, 4096 // (n * n)))
+
+
 def _mix(edge, w: EdgeWeights) -> tuple:
     """One canonical edge's step coefficients: 0-based rows i < j and the
     columns c0 = [[1 - a_ij], [a_ji]] and c1 = [[a_ij], [1 - a_ji]]."""
@@ -243,55 +247,53 @@ class ProductTracker:
         return self._floors
 
     def block(self, edges, tol: float) -> list:
-        """Step through ``edges``, BLOCK at a time, and return one row
-        (t, edge, seminorm, min_entry) per step, up to the first row whose
-        seminorm is below ``tol``. The tracker keeps those steps.
+        """Step through ``edges``, ``block_length(n)`` at a time, and return
+        one row (t, edge, seminorm, min_entry) per step, up to the first row
+        whose seminorm is below ``tol``. The tracker keeps those steps.
 
         Each block runs on a table of versions of the rows it touches: each
         row's value before the block, then the two rows each step writes.
         Gathering the versions current after each step gives the touched
-        rows of every step's product. One pass over the other rows, which no
-        step changes, completes the column maxima and minima, and the floors
-        of the versions complete each ``min_entry``. Max and min are exact,
-        so every value equals the reduction of the whole product after that
-        step, bit for bit.
+        rows of every step's product, and gathering their floors gives the
+        touched rows' part of every ``min_entry``. One pass over the other
+        rows, which no step changes, completes the column maxima and minima
+        and the floor. Max and min are exact, so every value equals the
+        reduction of the whole product after that step, bit for bit.
         """
         P, floors, out = self.P, self._row_floors(), []
-        for start in range(0, len(edges), BLOCK):
-            part = edges[start:start + BLOCK]
+        K = block_length(len(P))
+        for start in range(0, len(edges), K):
+            part = edges[start:start + K]
             steps = [self._mixes[e] for e in part]
             rows = sorted({r for i, j, _, _ in steps for r in (i, j)})
             local = {r: k for k, r in enumerate(rows)}
             versions = np.empty((len(rows) + 2 * len(steps), P.shape[1]))
             versions[:len(rows)] = P[rows]
-            latest, current, written = list(range(len(rows))), [], []
+            latest, current = list(range(len(rows))), []
             for v, (i, j, c0, c1) in zip(range(len(rows), len(versions), 2), steps):
                 li, lj = local[i], local[j]
                 np.add(c0 * versions[latest[li]], c1 * versions[latest[lj]], out=versions[v:v + 2])
                 latest[li], latest[lj] = v, v + 1
-                current.append(latest.copy())
-                written.append((li, lj))
+                current += latest
+            current = np.array(current).reshape(len(steps), len(rows))  # -> version
             touched = versions[current]  # (step, touched row, column)
             others = np.ones(len(P), dtype=bool)
             others[rows] = False
             fixed = P[others]
             hi = np.maximum(touched.max(axis=1), fixed.max(axis=0, initial=-np.inf))
             lo = np.minimum(touched.min(axis=1), fixed.min(axis=0, initial=np.inf))
-            norms = (hi - lo).max(axis=1).tolist()
-            fixed_floor = float(floors[others].min(initial=np.inf))
-            row_floors = floors[rows].tolist()
-            new_floors = _positive_floors(versions[len(rows):]).tolist()
-            mins = []
-            for (li, lj), fi, fj, s in zip(written, new_floors[::2], new_floors[1::2], norms):
-                row_floors[li], row_floors[lj] = fi, fj
-                mins.append(min(fixed_floor, *row_floors))
-                if s < tol:
-                    break
-            P[rows] = touched[len(mins) - 1]
-            floors[rows] = row_floors
-            out += zip(range(self.t + 1, self.t + len(mins) + 1), part, norms, mins)
-            self.t += len(mins)
-            if norms[len(mins) - 1] < tol:
+            norms = (hi - lo).max(axis=1)
+            version_floors = np.concatenate((floors[rows], _positive_floors(versions[len(rows):])))
+            mins = np.minimum(version_floors[current].min(axis=1),
+                              floors[others].min(initial=np.inf))
+            below = np.flatnonzero(norms < tol)
+            kept = int(below[0]) + 1 if len(below) else len(part)
+            P[rows] = touched[kept - 1]
+            floors[rows] = version_floors[current[kept - 1]]
+            out += zip(range(self.t + 1, self.t + kept + 1), part,
+                       norms[:kept].tolist(), mins[:kept].tolist())
+            self.t += kept
+            if len(below):
                 break
         return out
 
@@ -345,8 +347,7 @@ class RunOptions:
     tol: float = DEFAULT_TOL
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     t: int
     edge: tuple
     seminorm: float
@@ -389,15 +390,15 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     The run is one loop over segments, each ending at the next checkpoint
     of the stopping rule, where the seminorm is taken: the recorded steps
     and the last step. Up to DENSE_RECORD_LIMIT every step is one, and a
-    segment of at most BLOCK edges goes through ``ProductTracker.block``.
-    Past it, a segment runs to the next multiple of SPARSE_RECORD_EVERY or
-    to the end of the schedule, in single steps. With ``tol > 0`` the run
-    keeps a snapshot of the product at the segment's start; when the
-    seminorm k steps later reads below ``tol + k * RISE``, one of those
-    steps may have been below ``tol``: the run restores the snapshot, takes
-    the segment again through ``block``, and records its last row, the
-    first below ``tol`` or the segment's end. Every output equals that of a
-    test after every step.
+    segment of at most ``block_length(n)`` edges goes through
+    ``ProductTracker.block``. Past it, a segment runs to the next multiple
+    of SPARSE_RECORD_EVERY or to the end of the schedule, in single steps.
+    With ``tol > 0`` the run keeps a snapshot of the product at the
+    segment's start; when the seminorm k steps later reads below
+    ``tol + k * RISE``, one of those steps may have been below ``tol``: the
+    run restores the snapshot, takes the segment again through ``block``,
+    and records its last row, the first below ``tol`` or the segment's end.
+    Every output equals that of a test after every step.
     """
     if ws.graph != schedule.graph:
         raise GraphMismatch("weight set and schedule use different graphs")
@@ -405,6 +406,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     info = classify_schedule(schedule)
     eps = float(entry_floor(ws))
     window = info.m_spanning * (ws.graph.n // 2) if info.m_spanning else None
+    K = block_length(ws.graph.n)
 
     tracker = ProductTracker(ws)
     trace = []
@@ -413,7 +415,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     s = tracker.seminorm()
     while s >= opts.tol:
         dense = tracker.t < DENSE_RECORD_LIMIT
-        segment = list(islice(edges, min(BLOCK, DENSE_RECORD_LIMIT - tracker.t) if dense
+        segment = list(islice(edges, min(K, DENSE_RECORD_LIMIT - tracker.t) if dense
                               else SPARSE_RECORD_EVERY - tracker.t % SPARSE_RECORD_EVERY))
         if not segment:
             break

@@ -160,12 +160,9 @@ def schedule_from_dict(doc, graph: Graph, seed_override=None, where="schedule") 
 
 def trace_to_text(report: RunReport) -> str:
     lines = ["t\tedge\tseminorm\tbound\tmin_entry"]
-    for row in report.trace:
-        bound = "" if row.bound is None else f"{row.bound:.17g}"
-        lines.append(
-            f"{row.t}\t({row.edge[0]},{row.edge[1]})\t{row.seminorm:.17g}"
-            f"\t{bound}\t{row.min_entry:.17g}"
-        )
+    for t, (i, j), s, bound, low in report.trace:  # TraceRow fields
+        bound = "" if bound is None else f"{bound:.17g}"
+        lines.append(f"{t}\t({i},{j})\t{s:.17g}\t{bound}\t{low:.17g}")
     return "\n".join(lines) + "\n"
 
 

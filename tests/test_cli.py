@@ -6,7 +6,7 @@ import pytest
 
 from hologossip import errors, files
 from hologossip.acceptance import random_connected_graph
-from hologossip.cli import main
+from hologossip.cli import build_parser, main
 from hologossip.engine import RunOptions, Schedule, run
 
 TRIANGLE_GRAPH = {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}
@@ -313,6 +313,33 @@ def test_cmd_simulate_and_reports(workdir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", g, w, "--random-steps", "3", "--seed", "7"]) == 1
     assert "converged: false" in capsys.readouterr().out
+
+
+def _run_cli(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own exits: usage errors and --help
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_parser_is_reused_across_commands(workdir, capsys):
+    _, write = workdir
+    g = write("g.json", TRIANGLE_GRAPH)
+    w = write("w.json", BALANCED_RATIONAL)
+    commands = [["simulate"], ["check", "--help"], ["check", g, w],
+                ["simulate", g, w, "--random-steps", "500", "--seed", "3"]]
+    first = []
+    for argv in commands:  # each command first on a freshly built parser
+        build_parser.cache_clear()
+        first.append(_run_cli(argv, capsys))
+    assert [code for code, _, _ in first] == [2, 0, 0, 0]
+    assert "the following arguments are required" in first[0][2]
+    assert first[1][1].startswith("usage: hologossip check")
+    # then all of them in a row on one parser, after its usage error and its help exit
+    assert build_parser() is build_parser()
+    assert [_run_cli(argv, capsys) for argv in commands] == first
 
 
 def test_cmd_simulate_config_errors(workdir):

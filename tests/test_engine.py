@@ -12,7 +12,6 @@ from hologossip.acceptance import (
     random_rational_weights,
 )
 from hologossip.engine import (
-    BLOCK,
     DENSE_RECORD_LIMIT,
     DRAW_CHUNK,
     LEDGER_RESOLUTION,
@@ -22,6 +21,7 @@ from hologossip.engine import (
     RunOptions,
     Schedule,
     TraceRow,
+    block_length,
     classify_schedule,
     ergodicity_coefficient,
     is_scrambling,
@@ -521,23 +521,59 @@ def test_block_stops_match_every_step_rule():
              _slow_case(2)[:2]]
     at_limit = 0
     for ws, schedule in cases:
+        K = block_length(ws.graph.n)
+        assert K == (10 if ws.graph.n == 20 else 163)
         s = _seminorms(ws, schedule)
         minima = _running_minima(s)
-        # every offset inside a dense block, then step 1000 itself
-        stops = [next(t for t in minima if t <= DENSE_RECORD_LIMIT and (t - 1) % BLOCK == o)
-                 for o in range(BLOCK)]
+        # every offset inside a short dense block; the ends and middle of a long one.
+        # Offset K - 1 stops at a block boundary, offset 0 just past one
+        offsets = range(K) if K < 16 else (0, 1, K // 2, K - 2, K - 1)
+        stops = [next(t for t in minima if K < t <= DENSE_RECORD_LIMIT and (t - 1) % K == o)
+                 for o in offsets]
         if DENSE_RECORD_LIMIT in minima:
             stops.append(DENSE_RECORD_LIMIT)
             at_limit += 1
-        # past step 1000: a replay that stops more than one block into its gap
-        stops.append(next(t for t in minima
-                          if t > DENSE_RECORD_LIMIT and t % SPARSE_RECORD_EVERY > BLOCK))
+        # past step 1000: a replay that stops more than one block into its gap,
+        # or past its middle where one block holds the whole gap
+        stops.append(next(t for t in minima if t > DENSE_RECORD_LIMIT
+                          and t % SPARSE_RECORD_EVERY > min(K, SPARSE_RECORD_EVERY // 2)))
         for t in stops:
             tol = float(np.nextafter(s[t], 1.0))
             expected = _every_step_run(ws, schedule, tol)
             assert expected["steps"] == t and expected["max_bound_violation"] is not None
             assert _outcome(ws, schedule, tol) == expected
     assert at_limit == 1
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_long_block_stops_match_every_step_rule(seed):
+    # n = 3 (blocks of 455 steps) and n = 8 (64): stops at the first and last running
+    # minimum of the first, a middle and the last dense block
+    ws, schedule, _ = _slow_case(seed)
+    n = ws.graph.n
+    K = block_length(n)
+    assert (n, K) == ((3, 455) if seed == 0 else (8, 64))
+    s = _seminorms(ws, schedule)
+    minima = _running_minima(s)
+    last = (DENSE_RECORD_LIMIT - 1) // K
+    for b in (0, last // 2, last):
+        inside = [t for t in minima if b * K < t <= min((b + 1) * K, DENSE_RECORD_LIMIT)]
+        assert len(inside) >= 2
+        for t in (inside[0], inside[-1]):
+            tol = float(np.nextafter(s[t], 1.0))
+            expected = _every_step_run(ws, schedule, tol)
+            assert expected["steps"] == t
+            assert _outcome(ws, schedule, tol) == expected
+
+
+def test_block_length_keeps_temporaries_bounded():
+    # K states of at most min(2K, n) rows of n floats: 4096 floats, or the
+    # 8-step blocks of the large graphs
+    for n in range(2, 2001):
+        K = block_length(n)
+        assert 8 <= K <= DENSE_RECORD_LIMIT
+        assert K == 8 or K * min(2 * K, n) * n <= 4096
+    assert [block_length(n) for n in (3, 8, 21, 22, 50, 200)] == [455, 64, 9, 8, 8, 8]
 
 
 def test_runs_that_end_inside_a_block_match_every_step_rule():
@@ -565,8 +601,13 @@ def test_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
     restores = []
     restore = ProductTracker.restore
     monkeypatch.setattr(ProductTracker, "restore", lambda self, *a: restores.append(a) or restore(self, *a))
+    blocks = []
+    block = ProductTracker.block
+    monkeypatch.setattr(ProductTracker, "block",
+                        lambda self, edges, tol: blocks.append(len(edges)) or block(self, edges, tol))
     report = run(balanced_float, Schedule.random(triangle, seed=5, steps=3456), RunOptions(tol=0))
     assert report.steps == 3456 and not report.converged and not restores
+    assert blocks == [455, 455, 90]  # the dense zone in segments of block_length(3)
     # one row per checkpoint: 1000 dense, 24 sparse, the last step
     assert [row.t for row in report.trace] == (list(range(1, 1001)) + list(range(1100, 3401, 100))
                                               + [3456])
