@@ -165,7 +165,8 @@ def criterion_order_independence() -> AcceptanceResult:
     """20 random seeds and 3 periodic spanning schedules agree pairwise."""
     g = triangle()
     ws = WeightSet(g, BALANCED_TRIANGLE)
-    estimates = [run(ws, Schedule.random(g, seed=seed, steps=10_000)).p_hat for seed in range(20)]
+    untraced = RunOptions(trace=False)
+    estimates = [run(ws, Schedule.random(g, k, 10_000), untraced).p_hat for k in range(20)]
     periods = [
         [(1, 2), (2, 3)],
         [(1, 2), (2, 3), (1, 3)],
@@ -173,7 +174,7 @@ def criterion_order_independence() -> AcceptanceResult:
     ]
     for period in periods:
         reps = 10_000 // len(period) + 1
-        estimates.append(run(ws, Schedule.periodic(g, period, reps)).p_hat)
+        estimates.append(run(ws, Schedule.periodic(g, period, reps), untraced).p_hat)
     worst = _worst_pairwise_gap(estimates)
     return AcceptanceResult(
         worst <= 1e-8, f"23 runs, worst pairwise gap {worst:.2e} (<=1e-8)"
@@ -214,8 +215,8 @@ def criterion_order_dependence_without_balance() -> AcceptanceResult:
     exact_gap = p_chord.entries[0] - p_path.entries[0]
 
     ws = WeightSet(g, UNBALANCED_TRIANGLE)
-    r_path = run(ws, Schedule.periodic(g, [(1, 2), (2, 3)], 5000))
-    r_chord = run(ws, Schedule.periodic(g, [(1, 2), (1, 3)], 5000))
+    r_path = run(ws, Schedule.periodic(g, [(1, 2), (2, 3)], 5000), RunOptions(trace=False))
+    r_chord = run(ws, Schedule.periodic(g, [(1, 2), (1, 3)], 5000), RunOptions(trace=False))
     err_path = max(abs(a - float(b)) for a, b in zip(r_path.p_hat, p_path.entries))
     err_chord = max(abs(a - float(b)) for a, b in zip(r_chord.p_hat, p_chord.entries))
     gap = abs(r_chord.p_hat[0] - r_path.p_hat[0])
@@ -256,7 +257,7 @@ def criterion_inverse_design_round_trip() -> AcceptanceResult:
         report = run(
             wsf,
             Schedule.random(g, seed=1000 + case, steps=150_000),
-            RunOptions(tol=1e-9),
+            RunOptions(tol=1e-9, trace=False),
         )
         worst_sim = max(
             worst_sim, max(abs(a - float(b)) for a, b in zip(report.p_hat, p))
@@ -288,7 +289,7 @@ def criterion_fiber_property() -> AcceptanceResult:
         return AcceptanceResult(False, "ratio images differ")
     distinct = len({tuple(ws.items()) for ws in sets})
     estimates = [
-        run(ws.to_float(), Schedule.random(g, seed=99, steps=20_000)).p_hat
+        run(ws.to_float(), Schedule.random(g, 99, 20_000), RunOptions(trace=False)).p_hat
         for ws in sets
     ]
     worst = _worst_pairwise_gap(estimates)

@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
     else:
         raise FileFormatError("simulate needs --schedule or --random-steps")
 
-    report = run(ws, schedule, RunOptions(tol=args.tol))
+    report = run(ws, schedule, RunOptions(tol=args.tol, trace=bool(args.trace)))
     if args.trace:
         files.save_trace(report, args.trace)
     if args.report:

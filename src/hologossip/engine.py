@@ -3,20 +3,20 @@
 A schedule is a finite sequence of edges: explicit, periodic, or drawn
 uniformly at random from the edge set with a seeded generator. Stepping an
 edge (i, j) left-multiplies the running product by that edge's local
-matrix, which only mixes rows i and j, so the update costs O(n) instead of
-a dense multiply. The state reached from x0 is P @ x0. The tracker tables
-each edge's coefficients once, and the smallest positive entry of P is kept
-as per-row floors (see ProductTracker); every result stays bit-identical.
+matrix, which only mixes rows i and j: an O(n) update, on Python float lists
+below PLAIN_ROWS_BELOW nodes, where a numpy call costs more than the
+arithmetic. The state from x0 is P @ x0. The smallest positive entry of P
+is kept as per-row floors (see ProductTracker); every result is bit-identical.
 
 A run takes the O(n^2) seminorm of the product only where its value is
 read: at the recorded trace steps and the last step, the checkpoints of
-its stopping rule. It is one loop over segments, each ending at the next
-checkpoint. Where every step is a checkpoint, a segment's block_length(n)
-steps share one pass over the rows they leave alone (ProductTracker.block),
-so a block of many short steps pays its fixed numpy calls once. A sparse
-segment that may hold a step below the tolerance is taken again the same
-way (see run and RISE), so the result is bit-identical to testing the rule
-after every step.
+its stopping rule; a caller that reads no trace (RunOptions.trace) needs
+only every SPARSE_RECORD_EVERY-th step and the last. The run is one loop
+over segments, each ending at the next checkpoint. Where every step is one,
+a segment's block_length(n) steps share one pass over the rows they leave
+alone (ProductTracker.block). A sparse segment that may hold a step below
+the tolerance is taken again the same way (see run and RISE), so the result
+is bit-identical to testing the rule after every step.
 
 Diagnostics follow the standard contraction toolkit for products of
 stochastic matrices: the row-spread semi-norm (max column spread, zero
@@ -66,6 +66,10 @@ DRAW_CHUNK = 4096
 DENSE_RECORD_LIMIT = 1000
 #: ... then every this many steps.
 SPARSE_RECORD_EVERY = 100
+
+#: Below this many nodes, ProductTracker.advance steps rows as Python float
+#: lists: a numpy call costs more than the O(n) arithmetic (runs broke even at 20).
+PLAIN_ROWS_BELOW = 20
 
 #: Largest rise of the computed seminorm that one step can cause through
 #: rounding, with u = 2**-53 the unit roundoff of float64. The exact update
@@ -194,11 +198,18 @@ def block_length(n: int) -> int:
 
 
 def _mix(edge, w: EdgeWeights) -> tuple:
-    """One canonical edge's step coefficients: 0-based rows i < j and the
-    columns c0 = [[1 - a_ij], [a_ji]] and c1 = [[a_ij], [1 - a_ji]]."""
+    """One canonical edge's step coefficients: 0-based rows i < j, the columns
+    c0 = [[1 - a_ij], [a_ji]] and c1 = [[a_ij], [1 - a_ji]], and their floats."""
     i, j = edge
     a, b = float(w.a_ij), float(w.a_ji)
-    return i - 1, j - 1, np.array([[1.0 - a], [b]]), np.array([[a], [1.0 - b]])
+    p = (1.0 - a, a, b, 1.0 - b)
+    return i - 1, j - 1, np.array([[p[0]], [p[2]]]), np.array([[p[1]], [p[3]]]), p
+
+
+def _plain_step(u: list, w: list, p0, p1, q0, q1) -> tuple:
+    """Rows i and j after one step, as float lists. p0*x + p1*y rounds twice,
+    as c0 * P[i] + c1 * P[j] does in numpy, so both give the same bits."""
+    return [p0 * x + p1 * y for x, y in zip(u, w)], [q0 * x + q1 * y for x, y in zip(u, w)]
 
 
 class ProductTracker:
@@ -207,10 +218,10 @@ class ProductTracker:
     Starts at the identity, with each edge's ``_mix`` entry tabled once
     under both orientations. ``step(edge)`` replaces rows i and j with the
     rows of c0 * P[i] + c1 * P[j]; each entry is fl(fl(c x) + fl(c' y)), as
-    in two separate row updates. ``min_entry`` is the min of one
+    in two separate row updates; ``advance`` does the same on float lists
+    below PLAIN_ROWS_BELOW nodes. ``min_entry`` is the min of one
     positive-entry floor per row. ``block`` keeps the floors of the rows it
-    steps; after ``step`` or ``restore`` the next read rebuilds them in one
-    pass.
+    steps; after ``step``, ``advance`` or ``restore`` the next read rebuilds them.
     """
 
     def __init__(self, ws: WeightSet):
@@ -222,7 +233,7 @@ class ProductTracker:
             self._mixes[e] = self._mixes[e[::-1]] = _mix(e, w)
 
     def step(self, edge) -> "ProductTracker":
-        i, j, c0, c1 = self._mixes[edge]
+        i, j, c0, c1, _ = self._mixes[edge]
         S = c0 * self.P[i] + c1 * self.P[j]
         self.P[i] = S[0]
         self.P[j] = S[1]
@@ -230,13 +241,24 @@ class ProductTracker:
         self.t += 1
         return self
 
+    def advance(self, edges: list) -> None:
+        """``step`` through ``edges``, on float lists below PLAIN_ROWS_BELOW nodes."""
+        if len(self.P) >= PLAIN_ROWS_BELOW:
+            for edge in edges:
+                self.step(edge)
+            return
+        R = self.P.tolist()
+        for edge in edges:
+            i, j, _, _, p = self._mixes[edge]
+            R[i], R[j] = _plain_step(R[i], R[j], *p)
+        self.P[:] = R
+        self._floors = None
+        self.t += len(edges)
+
     def restore(self, snapshot: np.ndarray, t: int) -> None:
         np.copyto(self.P, snapshot)
         self.t = t
         self._floors = None
-
-    def seminorm(self) -> float:
-        return seminorm(self.P)
 
     def min_entry(self) -> float:
         return float(self._row_floors().min())
@@ -265,12 +287,12 @@ class ProductTracker:
         for start in range(0, len(edges), K):
             part = edges[start:start + K]
             steps = [self._mixes[e] for e in part]
-            rows = sorted({r for i, j, _, _ in steps for r in (i, j)})
+            rows = sorted({r for i, j, *_ in steps for r in (i, j)})
             local = {r: k for k, r in enumerate(rows)}
             versions = np.empty((len(rows) + 2 * len(steps), P.shape[1]))
             versions[:len(rows)] = P[rows]
             latest, current = list(range(len(rows))), []
-            for v, (i, j, c0, c1) in zip(range(len(rows), len(versions), 2), steps):
+            for v, (i, j, c0, c1, _) in zip(range(len(rows), len(versions), 2), steps):
                 li, lj = local[i], local[j]
                 np.add(c0 * versions[latest[li]], c1 * versions[latest[lj]], out=versions[v:v + 2])
                 latest[li], latest[lj] = v, v + 1
@@ -342,9 +364,12 @@ def is_scrambling(M) -> bool:
 
 @dataclass
 class RunOptions:
-    """Knobs for :func:`run`. ``tol`` of 0 disables early stopping."""
+    """Knobs for :func:`run`. ``tol`` of 0 disables early stopping. ``trace``
+    False: no one reads the rows of every step up to DENSE_RECORD_LIMIT, so
+    without a ledger the run records only its checkpoints there too."""
 
     tol: float = DEFAULT_TOL
+    trace: bool = True
 
 
 class TraceRow(NamedTuple):
@@ -391,14 +416,15 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     of the stopping rule, where the seminorm is taken: the recorded steps
     and the last step. Up to DENSE_RECORD_LIMIT every step is one, and a
     segment of at most ``block_length(n)`` edges goes through
-    ``ProductTracker.block``. Past it, a segment runs to the next multiple
-    of SPARSE_RECORD_EVERY or to the end of the schedule, in single steps.
-    With ``tol > 0`` the run keeps a snapshot of the product at the
-    segment's start; when the seminorm k steps later reads below
-    ``tol + k * RISE``, one of those steps may have been below ``tol``: the
-    run restores the snapshot, takes the segment again through ``block``,
-    and records its last row, the first below ``tol`` or the segment's end.
-    Every output equals that of a test after every step.
+    ``ProductTracker.block``. Past it, or from step 0 when ``opts.trace`` is
+    False and the run has no ledger, a segment runs through
+    ``ProductTracker.advance`` to the next multiple of SPARSE_RECORD_EVERY
+    or to the end of the schedule. With ``tol > 0`` the run keeps a snapshot
+    of the product at the segment's start; when the seminorm k steps later
+    reads below ``tol + k * RISE``, one of those steps may have been below
+    ``tol``: the run restores the snapshot, takes the segment again through
+    ``block`` and records its last row, the first below ``tol`` or the
+    segment's end. Every output equals that of a test after every step.
     """
     if ws.graph != schedule.graph:
         raise GraphMismatch("weight set and schedule use different graphs")
@@ -407,15 +433,16 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     eps = float(entry_floor(ws))
     window = info.m_spanning * (ws.graph.n // 2) if info.m_spanning else None
     K = block_length(ws.graph.n)
+    dense_end = DENSE_RECORD_LIMIT if opts.trace or window is not None else 0
 
     tracker = ProductTracker(ws)
     trace = []
     snapshot = None
     edges = schedule.edge_list()
-    s = tracker.seminorm()
+    s = seminorm(tracker.P)
     while s >= opts.tol:
-        dense = tracker.t < DENSE_RECORD_LIMIT
-        segment = list(islice(edges, min(K, DENSE_RECORD_LIMIT - tracker.t) if dense
+        dense = tracker.t < dense_end
+        segment = list(islice(edges, min(K, dense_end - tracker.t) if dense
                               else SPARSE_RECORD_EVERY - tracker.t % SPARSE_RECORD_EVERY))
         if not segment:
             break
@@ -423,17 +450,16 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
             rows = tracker.block(segment, opts.tol)
         else:
             if opts.tol > 0:
-                if snapshot is None:  # not before step 1000: it would add to the peak memory
+                if snapshot is None:  # from step 0 when checkpoint-only; P + snapshot: O(n^2)
                     snapshot = np.empty_like(tracker.P)
                 np.copyto(snapshot, tracker.P)
-            for edge in segment:
-                tracker.step(edge)
-            s = tracker.seminorm()
+            tracker.advance(segment)
+            s = seminorm(tracker.P)
             if opts.tol > 0 and s < opts.tol + len(segment) * RISE:
                 tracker.restore(snapshot, tracker.t - len(segment))
                 rows = tracker.block(segment, opts.tol)[-1:]
             else:
-                rows = [(tracker.t, edge, s, tracker.min_entry())]
+                rows = [(tracker.t, segment[-1], s, tracker.min_entry())]
         for t, edge, s, low in rows:
             bound = (1.0 - eps) ** (t / window - 1.0) if window is not None else None
             trace.append(TraceRow(t, edge, s, bound, low))

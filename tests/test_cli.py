@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hologossip import errors, files
+from hologossip import cli, errors, files
 from hologossip.acceptance import random_connected_graph
 from hologossip.cli import build_parser, main
 from hologossip.engine import RunOptions, Schedule, run
@@ -288,7 +288,9 @@ def test_cmd_design_unrepresentable_weight_exits_2(workdir, capsys, target, x, e
     assert err == f"error: edge {edge} needs a weight below the float64 range\n"
 
 
-def test_cmd_simulate_and_reports(workdir, tmp_path, capsys):
+def test_cmd_simulate_and_reports(workdir, tmp_path, capsys, monkeypatch):
+    traced = []
+    monkeypatch.setattr(cli, "run", lambda *a: traced.append(a[2].trace) or run(*a))
     _, write = workdir
     g = write("g.json", TRIANGLE_GRAPH)
     w = write("w.json", BALANCED_RATIONAL)
@@ -313,6 +315,7 @@ def test_cmd_simulate_and_reports(workdir, tmp_path, capsys):
     capsys.readouterr()
     assert main(["simulate", g, w, "--random-steps", "3", "--seed", "7"]) == 1
     assert "converged: false" in capsys.readouterr().out
+    assert traced == [True, False, False]  # only --trace reads the row of every step
 
 
 def _run_cli(argv, capsys):

@@ -59,6 +59,9 @@ UNBALANCED = {(1, 2): (F(1, 2), F(1, 2)), (2, 3): (F(1, 2), F(1, 2)), (1, 3): (F
 #: A binary tree on 1..40 plus four chords.
 TREE40 = sorted({(k // 2, k) for k in range(2, 41)} | {(3, 40), (7, 29), (12, 33), (1, 25)})
 
+#: The 8-cycle plus two chords.
+RING8 = [(k, k + 1) for k in range(1, 8)] + [(1, 8), (2, 6), (3, 7)]
+
 #: The edges of the 20-cycle, (1, 20) last.
 CYCLE20 = [[k, k + 1] for k in range(1, 20)] + [[1, 20]]
 
@@ -97,6 +100,8 @@ INPUTS = {
     # below every earlier one (0.02749, against 0.02783 at step 1100)
     "e1000.json": {"type": "explicit", "edges": CYCLE20 * 50},
     "e1101.json": {"type": "explicit", "edges": CYCLE20 * 55 + [[4, 5]]},
+    "ring8.json": {"n": 8, "edges": [list(e) for e in RING8]},
+    "r8_float.json": _index_weights(RING8, False),
 }
 RAW_INPUTS = {"broken.json": '{"n": 3,\n "edges": [[1, 2],]}'}
 
@@ -163,6 +168,14 @@ COMMANDS = [
     (["design", "tri.json", "--target", "5e-324,0.5,0.5", "--x", "0.5,1.5,0.5"], []),
     (["design", "tri.json", "--target", "5e-324,0.5,0.5", "--x", "0.5,nan,0.5"], []),
     (["design", "tri.json", "--target", "1/2,1/3,1/6", "--seed", "3"], []),
+    # untraced runs that stop before the end of the dense trace zone (steps 19 and 765,
+    # neither a multiple of 100), and the 20-cycle's stop one edge past step 1100
+    (["simulate", "tri.json", "bal_float.json", "--random-steps", "5000", "--seed", "3",
+      "--tol", "1e-3"], []),
+    (["simulate", "ring8.json", "r8_float.json", "--random-steps", "150000", "--seed", "3",
+      "--report", "r8.json"], ["r8.json"]),
+    (["simulate", "cyc20.json", "c20_float.json", "--schedule", "e1101.json", "--tol", "0.0276"],
+     []),
 ]
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hologossip import errors
+from hologossip import engine, errors
 from hologossip.acceptance import (
     random_connected_graph,
     random_float_weights,
@@ -15,6 +15,7 @@ from hologossip.engine import (
     DENSE_RECORD_LIMIT,
     DRAW_CHUNK,
     LEDGER_RESOLUTION,
+    PLAIN_ROWS_BELOW,
     RISE,
     SPARSE_RECORD_EVERY,
     ProductTracker,
@@ -417,8 +418,8 @@ def _every_step_run(ws, schedule, tol):
             "trace": trace, "max_bound_violation": max(viols) if viols else None}
 
 
-def _outcome(ws, schedule, tol):
-    r = run(ws, schedule, RunOptions(tol=tol))
+def _outcome(ws, schedule, tol, trace=True):
+    r = run(ws, schedule, RunOptions(tol=tol, trace=trace))
     return {"steps": r.steps, "converged": r.converged, "final_seminorm": r.final_seminorm,
             "p_hat": r.p_hat, "P": r.P.tobytes(), "trace": r.trace,
             "max_bound_violation": r.max_bound_violation}
@@ -717,6 +718,128 @@ def test_min_entry_floor_check_matches_mask():
             assert min_entry_floor_check(ws, schedule) == expected
             outcomes.append(expected)
     assert True in outcomes and False in outcomes
+
+
+# -- checkpoint-only runs (RunOptions.trace False) ----------------------------
+
+#: What a run without a read trace must still give bit for bit.
+_UNTRACED_SAME = ("steps", "converged", "final_seminorm", "p_hat", "P", "max_bound_violation")
+
+
+def _assert_untraced_matches(ws, schedule, tol):
+    """trace=False against the every-step rule and against trace=True: the same
+    outcome; the rows of every checkpoint, or all rows when a ledger reads them."""
+    expected = _every_step_run(ws, schedule, tol)
+    assert _outcome(ws, schedule, tol) == expected
+    untraced = _outcome(ws, schedule, tol, trace=False)
+    assert {k: untraced[k] for k in _UNTRACED_SAME} == {k: expected[k] for k in _UNTRACED_SAME}
+    if classify_schedule(schedule).m_spanning:
+        assert untraced["trace"] == expected["trace"]
+        assert [row.t for row in untraced["trace"][:10]] == list(range(1, 11))
+    else:
+        steps = expected["steps"]
+        checkpoints = list(range(SPARSE_RECORD_EVERY, steps + 1, SPARSE_RECORD_EVERY))
+        assert [row.t for row in untraced["trace"]] == checkpoints + (
+            [steps] if steps % SPARSE_RECORD_EVERY else [])
+        rows = {row.t: row for row in expected["trace"]}
+        assert all(rows[row.t] == row for row in untraced["trace"])
+    return expected["steps"]
+
+
+@pytest.mark.parametrize("seed", [2, 11])
+def test_untraced_run_matches_every_step_rule(seed):
+    # n = 5 and 8, weights in (0.01, 0.1): the seminorm reaches a new low at
+    # steps 100 and 101 in some of the schedules
+    rng = np.random.default_rng(1400 + seed)
+    g = random_connected_graph(rng, 3 + seed % 6, extra=seed % 3)
+    ws = random_float_weights(rng, g, 0.01, 0.1)
+    edges = g.sorted_edges
+    period = [edges[int(k)] for k in rng.permutation(len(edges))]
+    schedules = [Schedule.random(g, seed=seed, steps=1500),
+                 Schedule.explicit(g, [edges[int(k)] for k in rng.integers(0, len(edges), 1500)]),
+                 Schedule.periodic(g, period, 1500 // len(period))]
+    stops = []
+    for schedule in schedules:
+        s = _seminorms(ws, schedule)
+        minima = _running_minima(s)
+        # inside the first segment, at its end, one past it, later in the first
+        # 1000 steps and past them
+        ts = [max(t for t in minima if t < 100)] + [t for t in (100, 101) if t in minima]
+        inside = [t for t in minima if 101 < t < DENSE_RECORD_LIMIT and t % 100]
+        ts += inside[len(inside) // 2:][:1]
+        ts += [next(t for t in minima if t > DENSE_RECORD_LIMIT and t % 100)]
+        for tol in [0.0] + [float(np.nextafter(s[t], 1.0)) for t in ts]:
+            stops.append(_assert_untraced_matches(ws, schedule, tol))
+    assert {100, 101} <= set(stops)
+    assert any(t > DENSE_RECORD_LIMIT and t % 100 for t in stops)
+    assert any(101 < t < DENSE_RECORD_LIMIT for t in stops)
+
+
+def test_untraced_run_without_spanning_period():
+    # the period leaves a node out: no ledger, and the seminorm stays at 1
+    rng = np.random.default_rng(1450)
+    g = random_connected_graph(rng, 6, extra=2)
+    ws = random_float_weights(rng, g)
+    period = [e for e in g.sorted_edges if 6 not in e]
+    schedule = Schedule.periodic(g, period, 1234 // len(period))
+    assert not classify_schedule(schedule).spanning
+    for tol in (0.0, 1e-10, 0.5):
+        assert _assert_untraced_matches(ws, schedule, tol) == len(schedule)
+
+
+def test_untraced_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
+    calls = []  # nor steps through numpy rows: the triangle's rows are float lists
+    for name in ("restore", "block", "step"):
+        monkeypatch.setattr(ProductTracker, name, lambda self, *a, name=name: calls.append(name))
+    report = run(balanced_float, Schedule.random(triangle, seed=5, steps=3456),
+                 RunOptions(tol=0, trace=False))
+    assert report.steps == 3456 and not report.converged and not calls
+    assert [row.t for row in report.trace] == list(range(100, 3401, 100)) + [3456]
+
+
+# -- plain-float rows ---------------------------------------------------------
+
+def _stepped_both_ways(monkeypatch, ws, edges, steps):
+    """advance, block and a traced run of ``steps`` random edges, with the
+    rows of ``advance`` forced to numpy arrays and then to float lists."""
+    out, kernel = [], engine._plain_step
+    for limit in (0, 10**9):
+        monkeypatch.setattr(engine, "PLAIN_ROWS_BELOW", limit)
+        calls = []
+        monkeypatch.setattr(engine, "_plain_step", lambda *a: calls.append(1) or kernel(*a))
+        a, b = ProductTracker(ws), ProductTracker(ws)
+        a.advance(edges)
+        rows = b.block(edges, 0.0)
+        assert len(calls) == (len(edges) if limit else 0)  # advance took the forced path
+        r = run(ws, Schedule.random(ws.graph, seed=len(edges), steps=steps), RunOptions(tol=0))
+        assert a.t == b.t == len(edges) and a.P.tobytes() == b.P.tobytes()
+        out.append((a.P.tobytes(), rows, r.P.tobytes(), r.trace))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, PLAIN_ROWS_BELOW + 3))
+def test_plain_rows_match_numpy_rows(monkeypatch, n):
+    rng = np.random.default_rng(1300 + n)
+    g = random_connected_graph(rng, n, extra=n % 3)
+    path = build_graph(n, [(v, v + 1) for v in range(1, n)])
+    subnormal = False
+    # on the path, edges drawn without the last one leave node n apart: P keeps zeros
+    for ws, order in ((random_float_weights(rng, g), g.sorted_edges),
+                      (random_rational_weights(rng, g).to_float(), g.sorted_edges),
+                      (random_float_weights(rng, path), path.sorted_edges[:-1] or path.sorted_edges),
+                      (_tiny_weights(rng, g), g.sorted_edges)):
+        # each edge in either orientation, some repeated up to three times in a row
+        edges = []
+        for k in rng.integers(0, len(order), 400):
+            e = order[int(k)]
+            edges += [e[::-1] if rng.random() < 0.5 else e] * int(rng.choice([1, 1, 2, 3]))
+        numpy_rows, plain_rows = _stepped_both_ways(monkeypatch, ws, edges, 1150)
+        assert numpy_rows == plain_rows
+        P = np.frombuffer(plain_rows[0]).reshape(n, n)
+        if ws.graph is path and n > 2:
+            assert (P[:, -1] == 0).sum() == n - 1
+        subnormal |= any(0 < row[3] < np.finfo(float).tiny for row in plain_rows[1])
+    assert subnormal or n <= 4  # the tiny weights go subnormal in products from n = 5 on
 
 
 def test_contraction_inequality_random_products():
