@@ -86,14 +86,14 @@ def random_rational_simplex(rng, n: int, max_num: int = 8) -> list:
     return [Fraction(v, total) for v in nums]
 
 
-def random_rational_box(rng, g: Graph, lo: int = 7, hi: int = 13, den: int = 20) -> tuple:
-    vals = [Fraction(int(rng.integers(lo, hi + 1)), den) for _ in g.sorted_edges]
+def random_rational_box(rng, g: Graph, lo: int = 7, hi: int = 13) -> tuple:
+    vals = [Fraction(int(rng.integers(lo, hi + 1)), 20) for _ in g.sorted_edges]
     return box_point(g, vals)
 
 
-def random_rational_weights(rng, g: Graph, den: int = 20) -> WeightSet:
+def random_rational_weights(rng, g: Graph) -> WeightSet:
     pairs = {
-        e: (Fraction(int(rng.integers(1, den)), den), Fraction(int(rng.integers(1, den)), den))
+        e: (Fraction(int(rng.integers(1, 20)), 20), Fraction(int(rng.integers(1, 20)), 20))
         for e in g.sorted_edges
     }
     return WeightSet(g, pairs)

@@ -70,12 +70,12 @@ def box_point(g: Graph, values) -> tuple:
     return values
 
 
-def sample_box_point(g: Graph, seed: int, margin: float = BOX_MARGIN) -> tuple:
-    """Seeded uniform draw in (margin, 1 - margin) per edge (PCG64 stream)."""
+def sample_box_point(g: Graph, seed: int) -> tuple:
+    """Seeded uniform draw in (BOX_MARGIN, 1 - BOX_MARGIN) per edge (PCG64 stream)."""
     if seed < 0:
         raise ParameterOutOfRange(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))
-    draws = rng.uniform(margin, 1.0 - margin, size=len(g.sorted_edges))
+    draws = rng.uniform(BOX_MARGIN, 1.0 - BOX_MARGIN, size=len(g.sorted_edges))
     return box_point(g, [float(v) for v in draws])
 
 

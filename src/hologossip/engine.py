@@ -6,15 +6,15 @@ edge (i, j) left-multiplies the running product by that edge's local
 matrix, which only mixes rows i and j: an O(n) update, on Python float lists
 below PLAIN_ROWS_BELOW nodes, where a numpy call costs more than the
 arithmetic. The state from x0 is P @ x0. The smallest positive entry of P
-is kept as per-row floors (see ProductTracker); every result is bit-identical.
+is the min of per-row floors (ProductTracker); every result is bit-identical.
 
 A run takes the O(n^2) seminorm of the product only where its value is
 read: at the recorded trace steps and the last step, the checkpoints of
 its stopping rule; a caller that reads no trace (RunOptions.trace) needs
 only every SPARSE_RECORD_EVERY-th step and the last. The run is one loop
 over segments, each ending at the next checkpoint. Where every step is one,
-a segment's block_length(n) steps share one pass over the rows they leave
-alone (ProductTracker.block). A sparse segment that may hold a step below
+each block_length(n) steps share one pass over the rows they leave alone
+(ProductTracker.block). A sparse segment that may hold a step below
 the tolerance is taken again the same way (see run and RISE), so the result
 is bit-identical to testing the rule after every step.
 
@@ -191,9 +191,9 @@ def classify_schedule(s: Schedule) -> ScheduleClass:
 # -- running product ----------------------------------------------------------
 
 def block_length(n: int) -> int:
-    """Steps K per ProductTracker.block on n nodes. Its temporaries hold K *
-    min(2K, n) * n floats: at most 4096 at small n, where a block's fixed numpy
-    calls outweigh its steps, and K = 8 from n = 22 up (longer was slower at 200)."""
+    """Steps K per part of ProductTracker.block on n nodes. A part's temporaries
+    hold K * min(2K, n) * n floats: at most 4096 at small n, where a part's fixed
+    numpy calls outweigh its steps, and K = 8 from n = 22 up (longer was slower at 200)."""
     return max(8, min(DENSE_RECORD_LIMIT, 4096 // (n * n)))
 
 
@@ -220,14 +220,12 @@ class ProductTracker:
     rows of c0 * P[i] + c1 * P[j]; each entry is fl(fl(c x) + fl(c' y)), as
     in two separate row updates; ``advance`` does the same on float lists
     below PLAIN_ROWS_BELOW nodes. ``min_entry`` is the min of one
-    positive-entry floor per row. ``block`` keeps the floors of the rows it
-    steps; after ``step``, ``advance`` or ``restore`` the next read rebuilds them.
+    positive-entry floor per row, taken from P when read.
     """
 
     def __init__(self, ws: WeightSet):
         self.P = np.eye(ws.graph.n)
         self.t = 0
-        self._floors = np.ones(ws.graph.n)
         self._mixes = {}
         for e, w in ws.items():
             self._mixes[e] = self._mixes[e[::-1]] = _mix(e, w)
@@ -237,7 +235,6 @@ class ProductTracker:
         S = c0 * self.P[i] + c1 * self.P[j]
         self.P[i] = S[0]
         self.P[j] = S[1]
-        self._floors = None
         self.t += 1
         return self
 
@@ -252,37 +249,31 @@ class ProductTracker:
             i, j, _, _, p = self._mixes[edge]
             R[i], R[j] = _plain_step(R[i], R[j], *p)
         self.P[:] = R
-        self._floors = None
         self.t += len(edges)
 
     def restore(self, snapshot: np.ndarray, t: int) -> None:
         np.copyto(self.P, snapshot)
         self.t = t
-        self._floors = None
 
     def min_entry(self) -> float:
-        return float(self._row_floors().min())
-
-    def _row_floors(self) -> np.ndarray:
-        if self._floors is None:
-            self._floors = _positive_floors(self.P)
-        return self._floors
+        return float(_positive_floors(self.P).min())
 
     def block(self, edges, tol: float) -> list:
-        """Step through ``edges``, ``block_length(n)`` at a time, and return
+        """Step through ``edges``, in parts of ``block_length(n)``, and return
         one row (t, edge, seminorm, min_entry) per step, up to the first row
         whose seminorm is below ``tol``. The tracker keeps those steps.
 
-        Each block runs on a table of versions of the rows it touches: each
-        row's value before the block, then the two rows each step writes.
+        Each part runs on a table of versions of the rows it touches: each
+        row's value before the part, then the two rows each step writes.
         Gathering the versions current after each step gives the touched
         rows of every step's product, and gathering their floors gives the
         touched rows' part of every ``min_entry``. One pass over the other
-        rows, which no step changes, completes the column maxima and minima
-        and the floor. Max and min are exact, so every value equals the
-        reduction of the whole product after that step, bit for bit.
+        rows, which no step of the part changes, completes the column maxima
+        and minima and the floor. Max and min are exact, so every value
+        equals the reduction of the whole product after that step, bit for
+        bit. The row floors are taken from P on entry and carried across parts.
         """
-        P, floors, out = self.P, self._row_floors(), []
+        P, floors, out = self.P, _positive_floors(self.P), []
         K = block_length(len(P))
         for start in range(0, len(edges), K):
             part = edges[start:start + K]
@@ -311,6 +302,7 @@ class ProductTracker:
             below = np.flatnonzero(norms < tol)
             kept = int(below[0]) + 1 if len(below) else len(part)
             P[rows] = touched[kept - 1]
+            del touched, fixed  # about n^2 floats each at large n: freed before the next part
             floors[rows] = version_floors[current[kept - 1]]
             out += zip(range(self.t + 1, self.t + kept + 1), part,
                        norms[:kept].tolist(), mins[:kept].tolist())
@@ -412,19 +404,18 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     floored at LEDGER_RESOLUTION for the comparison, traces carry the raw
     value).
 
-    The run is one loop over segments, each ending at the next checkpoint
-    of the stopping rule, where the seminorm is taken: the recorded steps
-    and the last step. Up to DENSE_RECORD_LIMIT every step is one, and a
-    segment of at most ``block_length(n)`` edges goes through
-    ``ProductTracker.block``. Past it, or from step 0 when ``opts.trace`` is
-    False and the run has no ledger, a segment runs through
-    ``ProductTracker.advance`` to the next multiple of SPARSE_RECORD_EVERY
-    or to the end of the schedule. With ``tol > 0`` the run keeps a snapshot
-    of the product at the segment's start; when the seminorm k steps later
-    reads below ``tol + k * RISE``, one of those steps may have been below
-    ``tol``: the run restores the snapshot, takes the segment again through
-    ``block`` and records its last row, the first below ``tol`` or the
-    segment's end. Every output equals that of a test after every step.
+    The run is one loop over segments, each ending at the next checkpoint of
+    the stopping rule, where the seminorm is taken: the recorded steps and the
+    last step. Up to DENSE_RECORD_LIMIT every step is one, and that whole
+    segment is one ``ProductTracker.block`` call. Past it, or from step 0 when
+    ``opts.trace`` is False and the run has no ledger, a segment runs through
+    ``ProductTracker.advance`` to the next multiple of SPARSE_RECORD_EVERY or
+    to the end of the schedule. With ``tol > 0`` the run keeps a snapshot of
+    the product at the segment's start; when the seminorm k steps later reads
+    below ``tol + k * RISE``, one of those steps may have been below ``tol``:
+    the run restores the snapshot, takes the segment again through ``block``
+    and records its last row, the first below ``tol`` or the segment's end.
+    Every output equals that of a test after every step.
     """
     if ws.graph != schedule.graph:
         raise GraphMismatch("weight set and schedule use different graphs")
@@ -432,7 +423,6 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     info = classify_schedule(schedule)
     eps = float(entry_floor(ws))
     window = info.m_spanning * (ws.graph.n // 2) if info.m_spanning else None
-    K = block_length(ws.graph.n)
     dense_end = DENSE_RECORD_LIMIT if opts.trace or window is not None else 0
 
     tracker = ProductTracker(ws)
@@ -442,7 +432,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     s = seminorm(tracker.P)
     while s >= opts.tol:
         dense = tracker.t < dense_end
-        segment = list(islice(edges, min(K, dense_end - tracker.t) if dense
+        segment = list(islice(edges, dense_end - tracker.t if dense
                               else SPARSE_RECORD_EVERY - tracker.t % SPARSE_RECORD_EVERY))
         if not segment:
             break
@@ -484,16 +474,17 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
 
 
 def min_entry_floor_check(ws: WeightSet, schedule: Schedule) -> bool:
-    """Check min nonzero entry > min_weight ** (n-1) for every prefix product."""
+    """Check min nonzero entry > min_weight ** (n-1) for every prefix product:
+    the ``min_entry`` of ``ProductTracker.block`` rows with ``tol`` 0, over
+    DENSE_RECORD_LIMIT steps at a time (O(n^2) memory), up to the first failure."""
     if ws.graph != schedule.graph:
         raise GraphMismatch("weight set and schedule use different graphs")
     eps = float(entry_floor(ws))
     tracker = ProductTracker(ws)
     if not tracker.min_entry() > eps:
         return False
-    # a step writes rows i and j only: every other row passed before or is the identity's
-    for i, j in schedule.edge_list():
-        S = tracker.step((i, j)).P[i - 1:j:j - i]  # rows i and j
-        if S.min() <= eps and ((S > 0) & (S <= eps)).any():
+    edges = schedule.edge_list()
+    while part := list(islice(edges, DENSE_RECORD_LIMIT)):
+        if not all(low > eps for *_, low in tracker.block(part, 0.0)):
             return False
     return True

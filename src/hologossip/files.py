@@ -125,10 +125,7 @@ def weights_to_json(ws: WeightSet) -> str:
 
 def load_schedule(path, graph: Graph, seed_override=None) -> Schedule:
     doc = _load_json(path)
-    return schedule_from_dict(doc, graph, seed_override=seed_override, where=str(path))
-
-
-def schedule_from_dict(doc, graph: Graph, seed_override=None, where="schedule") -> Schedule:
+    where = str(path)
     if not isinstance(doc, dict) or "type" not in doc:
         raise FileFormatError(f"{where}: schedule needs a 'type' field")
     kind = doc["type"]

@@ -170,17 +170,17 @@ def spanning_tree(g: Graph, root: int = 1) -> SpanningTree:
     return SpanningTree(root=root, parent=parent, edges=edges)
 
 
-def spanning_tree_from_edges(g: Graph, edges: Iterable, root: int = 1) -> SpanningTree:
-    """Root the given spanning edge set at ``root`` via BFS over those edges."""
+def spanning_tree_from_edges(g: Graph, edges: Iterable) -> SpanningTree:
+    """Root the given spanning edge set at node 1 via BFS over those edges."""
     treeset = frozenset(g.require_edge(*e) for e in edges)
-    parent = bfs_parents(root, lambda u: [v for v in g.neighbors(u)
-                                          if normalize_edge(u, v) in treeset])
+    parent = bfs_parents(1, lambda u: [v for v in g.neighbors(u)
+                                       if normalize_edge(u, v) in treeset])
     if len(parent) != g.n or len(treeset) != g.n - 1:
         raise DisconnectedGraph("edge set is not a spanning tree")
-    return SpanningTree(root=root, parent=parent, edges=treeset)
+    return SpanningTree(root=1, parent=parent, edges=treeset)
 
 
-def spanning_tree_containing(g: Graph, required: Iterable, root: int = 1) -> SpanningTree:
+def spanning_tree_containing(g: Graph, required: Iterable) -> SpanningTree:
     """Grow a spanning tree that contains all ``required`` edges.
 
     The required edges must be acyclic; remaining graph edges are added in
@@ -196,7 +196,7 @@ def spanning_tree_containing(g: Graph, required: Iterable, root: int = 1) -> Spa
     for e in g.sorted_edges:
         if uf.union(*e):
             chosen.append(e)
-    return spanning_tree_from_edges(g, chosen, root=root)
+    return spanning_tree_from_edges(g, chosen)
 
 
 def fundamental_cycle(t: SpanningTree, i: int, j: int) -> Walk:

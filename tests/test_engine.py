@@ -608,7 +608,7 @@ def test_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
                         lambda self, edges, tol: blocks.append(len(edges)) or block(self, edges, tol))
     report = run(balanced_float, Schedule.random(triangle, seed=5, steps=3456), RunOptions(tol=0))
     assert report.steps == 3456 and not report.converged and not restores
-    assert blocks == [455, 455, 90]  # the dense zone in segments of block_length(3)
+    assert blocks == [DENSE_RECORD_LIMIT]  # the whole dense zone in one call
     # one row per checkpoint: 1000 dense, 24 sparse, the last step
     assert [row.t for row in report.trace] == (list(range(1, 1001)) + list(range(1100, 3401, 100))
                                               + [3456])
@@ -718,6 +718,27 @@ def test_min_entry_floor_check_matches_mask():
             assert min_entry_floor_check(ws, schedule) == expected
             outcomes.append(expected)
     assert True in outcomes and False in outcomes
+    # the check goes DENSE_RECORD_LIMIT steps at a time: on the all-1/2 40-node path,
+    # steps that leave edge (39, 40) out, then the sweep, reach the floor first at the
+    # last step of the first part, the first of the second, and inside the third, each
+    # at the schedule's end and 200 steps before it; and a schedule over three parts
+    # with no step at the floor
+    g = build_graph(40, [(v, v + 1) for v in range(1, 40)])
+    ws = half_weights(g, 0.5)
+    eps = float(entry_floor(ws))
+    rng = np.random.default_rng(1000)
+    steps = [g.sorted_edges[int(k)] for k in rng.integers(0, len(g.sorted_edges), 3000)]
+    inner = [e for e in steps if e != (39, 40)]
+    sweep = [(v, v + 1) for v in range(39, 0, -1)]
+    cases = [(None, steps[:2500])]
+    for at in (DENSE_RECORD_LIMIT, DENSE_RECORD_LIMIT + 1, 2 * DENSE_RECORD_LIMIT + 500):
+        cases += [(at, inner[:at - len(sweep)] + sweep + tail) for tail in ([], steps[:200])]
+    for at, edges in cases:
+        schedule = Schedule.explicit(g, edges)
+        first = next((t for t, (_, P) in enumerate(_plain_steps(ws, schedule.edge_list()), 1)
+                      if _min_positive(P) <= eps), None)
+        assert first == at
+        assert min_entry_floor_check(ws, schedule) == (first is None)
 
 
 # -- checkpoint-only runs (RunOptions.trace False) ----------------------------
