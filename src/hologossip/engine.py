@@ -271,10 +271,12 @@ class ProductTracker:
         rows, which no step of the part changes, completes the column maxima
         and minima and the floor. Max and min are exact, so every value
         equals the reduction of the whole product after that step, bit for
-        bit. The row floors are taken from P on entry and carried across parts.
+        bit. Floors are read from P on entry and carried across parts; gathered rows
+        fill buffers made once per call, so malloc does not return and re-fault them.
         """
         P, floors, out = self.P, _positive_floors(self.P), []
-        K = block_length(len(P))
+        n, K = len(P), block_length(len(P))
+        fixed_buf, touched_buf = np.empty((n, n)), np.empty(K * min(2 * K, n) * n)
         for start in range(0, len(edges), K):
             part = edges[start:start + K]
             steps = [self._mixes[e] for e in part]
@@ -289,10 +291,11 @@ class ProductTracker:
                 latest[li], latest[lj] = v, v + 1
                 current += latest
             current = np.array(current).reshape(len(steps), len(rows))  # -> version
-            touched = versions[current]  # (step, touched row, column)
-            others = np.ones(len(P), dtype=bool)
+            touched = versions.take(current, axis=0, mode="clip",  # (step, touched row, column)
+                                    out=touched_buf[:current.size * n].reshape(*current.shape, n))
+            others = np.ones(n, dtype=bool)
             others[rows] = False
-            fixed = P[others]
+            fixed = P.take(np.flatnonzero(others), axis=0, mode="clip", out=fixed_buf[:n - len(rows)])
             hi = np.maximum(touched.max(axis=1), fixed.max(axis=0, initial=-np.inf))
             lo = np.minimum(touched.min(axis=1), fixed.min(axis=0, initial=np.inf))
             norms = (hi - lo).max(axis=1)
@@ -302,7 +305,6 @@ class ProductTracker:
             below = np.flatnonzero(norms < tol)
             kept = int(below[0]) + 1 if len(below) else len(part)
             P[rows] = touched[kept - 1]
-            del touched, fixed  # about n^2 floats each at large n: freed before the next part
             floors[rows] = version_floors[current[kept - 1]]
             out += zip(range(self.t + 1, self.t + kept + 1), part,
                        norms[:kept].tolist(), mins[:kept].tolist())

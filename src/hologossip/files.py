@@ -30,7 +30,8 @@ _RATIONAL_RE = re.compile(r"^\s*[+-]?\d+\s*/\s*[1-9]\d*\s*$")
 
 
 def parse_scalar(value, where: str):
-    """JSON number -> float; string 'p/q' -> Fraction."""
+    """JSON number -> float; string 'p/q' -> Fraction, with any whitespace
+    around its sign, digits and slash left out."""
     if isinstance(value, bool):
         raise FileFormatError(f"{where}: expected a number, got a boolean")
     if isinstance(value, (int, float)):
@@ -39,16 +40,13 @@ def parse_scalar(value, where: str):
         except OverflowError as exc:
             raise FileFormatError(f"{where}: integer outside the float64 range") from exc
     if isinstance(value, str):
-        if _RATIONAL_RE.match(value):
-            return Fraction(value.replace(" ", ""))
-        raise FileFormatError(f"{where}: {value!r} is not a rational 'p/q' string")
+        if not _RATIONAL_RE.match(value):
+            raise FileFormatError(f"{where}: {value!r} is not a rational 'p/q' string")
+        try:
+            return Fraction("".join(value.split()))
+        except ValueError as exc:  # a part past Python's 4300-digit conversion limit
+            raise FileFormatError(f"{where}: not readable as a rational: {exc}") from exc
     raise FileFormatError(f"{where}: expected a number or 'p/q' string")
-
-
-def scalar_to_json(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return float(value)
 
 
 def _load_json(path):
@@ -63,64 +61,66 @@ def _load_json(path):
         raise FileFormatError(f"{path}: not readable as JSON: {exc}") from exc
 
 
-def _edge_pair(raw, where: str):
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
-    ):
-        raise FileFormatError(f"{where}: edge must be a pair of integers")
-    return int(raw[0]), int(raw[1])
+def _is_pair(raw) -> bool:
+    """A JSON pair of integers; the ``type`` tests leave out booleans."""
+    return type(raw) is list and len(raw) == 2 and type(raw[0]) is int and type(raw[1]) is int
 
 
 def _edge_list(doc: dict, key: str, where) -> list:
     """The list of integer pairs under ``key``; absent reads as empty."""
     raw = doc.get(key, [])
-    if not isinstance(raw, list):
+    if type(raw) is not list:
         raise FileFormatError(f"{where}: '{key}' must be a list of pairs")
-    return [_edge_pair(pair, f"{where}: {key}[{k}]") for k, pair in enumerate(raw)]
+    for k, pair in enumerate(raw):
+        if not _is_pair(pair):
+            raise FileFormatError(f"{where}: {key}[{k}]: edge must be a pair of integers")
+    return raw
 
 
 def load_graph(path) -> Graph:
     doc = _load_json(path)
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise FileFormatError(f"{path}: graph file must be a JSON object")
-    if "n" not in doc or not isinstance(doc["n"], int) or isinstance(doc["n"], bool):
+    if type(doc.get("n")) is not int:
         raise FileFormatError(f"{path}: missing integer field 'n'")
     return build_graph(doc["n"], _edge_list(doc, "edges", path))
 
 
 def load_weights(path, graph: Graph) -> WeightSet:
+    """Grammar, duplicate and mixed-kind errors in any record come before WeightSet's."""
     doc = _load_json(path)
-    if not isinstance(doc, list):
+    if type(doc) is not list:
         raise FileFormatError(f"{path}: weights file must be a JSON list")
     pairs = {}
-    kinds = set()
+    exact = 0  # values given as 'p/q' strings
     for k, rec in enumerate(doc):
-        where = f"{path}: record {k}"
-        if not isinstance(rec, dict) or not {"edge", "a_ij", "a_ji"} <= set(rec):
-            raise FileFormatError(f"{where}: needs fields edge, a_ij, a_ji")
-        edge = _edge_pair(rec["edge"], where)
-        a = parse_scalar(rec["a_ij"], f"{where}: a_ij")
-        b = parse_scalar(rec["a_ji"], f"{where}: a_ji")
-        for v in (a, b):
-            kinds.add("exact" if isinstance(v, Fraction) else "float")
-        if edge in pairs or (edge[1], edge[0]) in pairs:
-            raise FileFormatError(f"{where}: duplicate edge {list(edge)}")
-        pairs[edge] = (a, b)
-    if len(kinds) > 1:
-        raise MixedScalarKinds(
-            f"{path}: mixes rational 'p/q' strings and plain numbers"
-        )
+        if type(rec) is not dict or "edge" not in rec or "a_ij" not in rec or "a_ji" not in rec:
+            raise FileFormatError(f"{path}: record {k}: needs fields edge, a_ij, a_ji")
+        edge, a, b = rec["edge"], rec["a_ij"], rec["a_ji"]
+        if not _is_pair(edge):
+            raise FileFormatError(f"{path}: record {k}: edge must be a pair of integers")
+        if type(a) is not float:
+            a = parse_scalar(a, f"{path}: record {k}: a_ij")
+            exact += type(a) is Fraction
+        if type(b) is not float:
+            b = parse_scalar(b, f"{path}: record {k}: a_ji")
+            exact += type(b) is Fraction
+        i, j = edge
+        if (i, j) in pairs or (j, i) in pairs:
+            raise FileFormatError(f"{path}: record {k}: duplicate edge {edge}")
+        pairs[i, j] = (a, b)
+    if 0 < exact < 2 * len(pairs):
+        raise MixedScalarKinds(f"{path}: mixes rational 'p/q' strings and plain numbers")
     return WeightSet(graph, pairs)
 
 
 def weights_to_json(ws: WeightSet) -> str:
-    records = [
-        {"edge": list(e), "a_ij": scalar_to_json(w.a_ij), "a_ji": scalar_to_json(w.a_ji)}
-        for e, w in ws.items()
-    ]
-    return json.dumps(records, indent=2) + "\n"
+    """The weights file of ``ws``: the bytes of ``json.dumps(records, indent=2)``
+    and a newline. Floats in (0, 1) are finite, so ``json`` writes their repr."""
+    record = '  {\n    "edge": [\n      %d,\n      %d\n    ],\n    "a_ij": %s,\n    "a_ji": %s\n  }'
+    show = '"{}"'.format if ws.exact else (lambda v: repr(float(v)))  # str(Fraction) is 'p/q'
+    body = ",\n".join([record % (i, j, show(a), show(b)) for (i, j), (a, b) in ws.items()])
+    return f"[\n{body}\n]\n" if body else "[]\n"
 
 
 def load_schedule(path, graph: Graph, seed_override=None) -> Schedule:
@@ -135,19 +135,15 @@ def load_schedule(path, graph: Graph, seed_override=None) -> Schedule:
         if kind == "periodic":
             period = _edge_list(doc, "period", where)
             reps = doc.get("repetitions")
-            if not isinstance(reps, int) or isinstance(reps, bool) or reps < 1:
+            if type(reps) is not int or reps < 1:
                 raise FileFormatError(f"{where}: 'repetitions' must be a positive integer")
             return Schedule.periodic(graph, period, reps)
         if kind == "random":
             steps = doc.get("steps")
-            if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+            if type(steps) is not int or steps < 1:
                 raise FileFormatError(f"{where}: 'steps' must be a positive integer")
             seed = seed_override if seed_override is not None else doc.get("seed")
-            if seed is None:
-                raise FileFormatError(
-                    f"{where}: random schedules need an explicit seed"
-                )
-            if not isinstance(seed, int) or isinstance(seed, bool):
+            if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
                 raise FileFormatError(f"{where}: 'seed' must be an integer")
             return Schedule.random(graph, seed, steps)
     except InvalidSchedule as exc:

@@ -48,12 +48,13 @@ class Graph:
     @cached_property
     def adjacency(self) -> dict:
         """Sorted neighbors of each node that has an edge; its size follows
-        the edges, not ``n``, which an unchecked file can set to 10**30."""
+        the edges, not ``n``, which an unchecked file can set to 10**30. In
+        ascending edge order, v's neighbors i < v come first, then j > v."""
         adj = {}
-        for i, j in self.edges:
+        for i, j in self.sorted_edges:
             adj.setdefault(i, []).append(j)
             adj.setdefault(j, []).append(i)
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+        return {v: tuple(nbrs) for v, nbrs in adj.items()}
 
     def neighbors(self, v: int) -> tuple:
         if not 1 <= v <= self.n:

@@ -28,7 +28,7 @@ HOLONOMY_TOL = 1e-9
 
 
 def is_exact(v) -> bool:
-    return isinstance(v, (Fraction, int)) and not isinstance(v, bool)
+    return type(v) is not float and isinstance(v, (Fraction, int)) and not isinstance(v, bool)
 
 
 class EdgeWeights(NamedTuple):
@@ -54,25 +54,24 @@ class WeightSet:
         the canonical record keeps its meaning. Every edge must be given
         exactly once.
         """
-        store = {}
+        store, edges = {}, graph.edges
+        exact = 0  # Fraction values; in (0, 1) no other value is exact
         for key, pair in pairs.items():
             i, j = int(key[0]), int(key[1])
             e = graph.require_edge(i, j)
             if e in store:
                 raise UnknownEdge(f"edge ({i},{j}) given more than once")
-            for v in pair:
-                if not (0 < v < 1):
-                    raise WeightOutOfRange(f"weight {v} on edge {e} outside (0,1)")
-            w = EdgeWeights(*pair)
-            store[e] = EdgeWeights(w.a_ji, w.a_ij) if i > j else w
-        if len(store) < len(graph.edges):
-            raise UnknownEdge(f"no weights for edges {sorted(graph.edges - set(store))}")
-        kinds = {is_exact(v) for w in store.values() for v in w}
-        if len(kinds) > 1:
+            a, b = pair
+            if not (0 < a < 1 and 0 < b < 1):
+                raise WeightOutOfRange(f"weight {b if 0 < a < 1 else a} on edge {e} outside (0,1)")
+            if type(a) is not float or type(b) is not float:  # isinstance on an ABC is slow
+                exact += isinstance(a, Fraction) + isinstance(b, Fraction)
+            store[e] = EdgeWeights(a, b) if i < j else EdgeWeights(b, a)
+        if len(store) < len(edges):
+            raise UnknownEdge(f"no weights for edges {sorted(edges - set(store))}")
+        if 0 < exact < 2 * len(store):
             raise MixedScalarKinds("weight set mixes exact rationals and floats")
-        self.graph = graph
-        self._pairs = store
-        self.exact = kinds == {True}
+        self.graph, self._pairs, self.exact = graph, store, exact > 0
 
     def pair(self, edge) -> EdgeWeights:
         """The stored pair of an edge given in either orientation."""

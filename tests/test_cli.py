@@ -3,11 +3,15 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hologossip import cli, errors, files
 from hologossip.acceptance import random_connected_graph
 from hologossip.cli import build_parser, main
 from hologossip.engine import RunOptions, Schedule, run
+from hologossip.graph import build_graph
+from hologossip.weights import WeightSet
 
 TRIANGLE_GRAPH = {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}
 BALANCED_RATIONAL = [
@@ -43,6 +47,67 @@ def test_load_graph_and_weights_roundtrip(workdir):
     out.write_text(files.weights_to_json(ws))
     ws2 = files.load_weights(out, g)
     assert ws2.items() == ws.items()
+
+
+def _indent_encoder_text(ws) -> str:
+    """The weights file as ``json.dumps(indent=2)`` writes it, the reference
+    for ``files.weights_to_json``."""
+    def scalar(v):
+        return f"{v.numerator}/{v.denominator}" if isinstance(v, F) else float(v)
+    records = [{"edge": list(e), "a_ij": scalar(w.a_ij), "a_ji": scalar(w.a_ji)}
+               for e, w in ws.items()]
+    return json.dumps(records, indent=2) + "\n"
+
+
+BIG = 10**400 + 7
+WRITER_CASES = {
+    "float extremes": {(1, 2): (5e-324, 1e-300), (3, 2): (1 - 2**-53, 0.1), (3, 4): (0.1, 0.5)},
+    "float tiny pairs": {(1, 2): (1e-300, 5e-324), (2, 3): (5e-324, 5e-324), (3, 4): (0.25, 0.75)},
+    "exact 400 digits": {(1, 2): (F(1, BIG), F(BIG - 1, BIG)), (2, 3): (F(3, 10**400), F(1, 3)),
+                         (4, 3): (F(2 * BIG - 1, 2 * BIG), F(1, 2))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRITER_CASES))
+def test_weights_to_json_is_the_indent_encoders_text(workdir, name):
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+    ws = WeightSet(g, WRITER_CASES[name])
+    text = files.weights_to_json(ws)
+    assert text == _indent_encoder_text(ws)
+    tmp, _ = workdir
+    (tmp / "w.json").write_text(text)
+    back = files.load_weights(tmp / "w.json", g)
+    assert back.exact == ws.exact and back.items() == ws.items()
+    assert [type(v) for _, w in back.items() for v in w] == [type(v) for _, w in ws.items() for v in w]
+
+
+def test_weights_to_json_without_edges():
+    g = build_graph(1, [])
+    ws = WeightSet(g, {})
+    assert files.weights_to_json(ws) == _indent_encoder_text(ws) == "[]\n"
+
+
+UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
+UNIT_FRACTION = st.fractions(0, 1).filter(lambda f: 0 < f < 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.one_of(st.lists(UNIT, min_size=6, max_size=6),
+                        st.lists(UNIT_FRACTION, min_size=6, max_size=6)))
+def test_weights_to_json_matches_the_indent_encoder_on_drawn_sets(values):
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4)])
+    ws = WeightSet(g, {e: (values[2 * k], values[2 * k + 1]) for k, e in enumerate(g.sorted_edges)})
+    assert files.weights_to_json(ws) == _indent_encoder_text(ws)
+
+
+@pytest.mark.parametrize("text", [" 1 / 3 ", "1\t/3", "1/\u00a03", "\u2003+1/3\n", "1\r\n/ 3"])
+def test_parse_scalar_leaves_out_every_whitespace_the_grammar_admits(workdir, capsys, text):
+    assert files.parse_scalar(text, "w") == F(1, 3)
+    tmp, write = workdir
+    g = write("g.json", {"n": 2, "edges": [[1, 2]]})
+    w = write("w.json", [{"edge": [1, 2], "a_ij": text, "a_ji": "1/3"}])
+    assert main(["check", g, w]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_load_weights_float_kind(workdir):
@@ -88,7 +153,8 @@ def test_schedule_files(workdir):
         g,
     )
     assert len(s) == 8
-    with pytest.raises(errors.FileFormatError):
+    with pytest.raises(errors.FileFormatError,
+                       match=r"noseed.json: random schedules need an explicit seed$"):
         files.load_schedule(write("noseed.json", {"type": "random", "steps": 10}), g)
     s = files.load_schedule(write("noseed2.json", {"type": "random", "steps": 10}), g, seed_override=3)
     assert s.seed == 3
@@ -389,6 +455,7 @@ def test_cli_rejects_bad_numbers_with_exit_2(workdir, capsys, argv):
     ("g.json", b'{"n": ' + b"1" * 5000 + b', "edges": []}'),  # int past 4300 digits
     ("g.json", json.dumps({"n": 10**30, "edges": [[1, 2]]}).encode()),
     ("w.json", json.dumps([{"edge": [1, 2], "a_ij": 10**400, "a_ji": 0.5}]).encode()),
+    ("w.json", json.dumps([{"edge": [1, 2], "a_ij": "1/" + "9" * 5000, "a_ji": "1/2"}]).encode()),
 ])
 def test_cli_rejects_unreadable_and_extreme_files_with_exit_2(workdir, capsys, name, raw):
     tmp, write = workdir

@@ -62,7 +62,8 @@ scalar = st.one_of(
     st.fractions(0, 1).map(lambda f: f"{f.numerator}/{f.denominator}"),
     st.sampled_from([0.0, 1.0, -0.5, 1.5, math.nan, math.inf, -math.inf, 5e-324, 1e-300,
                      1 - 2**-53, 3, 10**400, True, None, [0.5], "1/0", "0/1", "-1/2", "2/1",
-                     big_fraction, "abc", "1e-3", " 1 / 3 "]),
+                     big_fraction, "abc", "1e-3", " 1 / 3 ", "1\t/3", "1/\u00a03",
+                     "1/" + "9" * 5000]),
 )
 
 
