@@ -25,7 +25,6 @@ from .engine import (
     classify_schedule,
     ergodicity_coefficient,
     is_scrambling,
-    min_entry_floor_check,
     run,
     seminorm,
 )
@@ -42,7 +41,6 @@ from .graph import (
     spanning_tree_from_edges,
 )
 from .limit import (
-    Potential,
     ProbabilityVector,
     WitnessTrees,
     consensus_limit,

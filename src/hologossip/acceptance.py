@@ -23,7 +23,6 @@ from .engine import (
     Schedule,
     ergodicity_coefficient,
     is_scrambling,
-    min_entry_floor_check,
     run,
     seminorm,
 )
@@ -99,12 +98,9 @@ def random_rational_weights(rng, g: Graph) -> WeightSet:
     return WeightSet(g, pairs)
 
 
-def random_float_weights(rng, g: Graph, lo: float = 0.05, hi: float = 0.95) -> WeightSet:
-    pairs = {
-        e: (float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi)))
-        for e in g.sorted_edges
-    }
-    return WeightSet(g, pairs)
+def random_float_weights(rng, g: Graph) -> WeightSet:
+    return WeightSet(g, {e: (float(rng.uniform(0.05, 0.95)), float(rng.uniform(0.05, 0.95)))
+                         for e in g.sorted_edges})
 
 
 def random_local_product(rng, ws: WeightSet, steps: int) -> np.ndarray:
@@ -345,7 +341,9 @@ def criterion_min_entry_floor() -> AcceptanceResult:
         ws = random_float_weights(rng, g)
         order = g.sorted_edges
         edges = [order[int(rng.integers(0, len(order)))] for _ in range(500)]
-        if not min_entry_floor_check(ws, Schedule.explicit(g, edges)):
+        report = run(ws, Schedule.explicit(g, edges), RunOptions(tol=0.0))
+        lows = [row.min_entry for row in report.trace]  # tol 0: one row per step
+        if len(lows) != len(edges) or not all(low > report.epsilon for low in lows):
             return AcceptanceResult(False, f"case {k}: floor violated")
     return AcceptanceResult(True, "100 schedules x 500 steps, zero floor violations")
 

@@ -45,9 +45,7 @@ def _setup_logging() -> None:
 
 
 def _render_scalar(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return f"{float(v):.15g}"
+    return files.rational_text(v) if isinstance(v, Fraction) else f"{float(v):.15g}"
 
 
 def _render_vector(entries) -> str:

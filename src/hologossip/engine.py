@@ -474,19 +474,3 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
         schedule_seed=schedule.seed,
     )
 
-
-def min_entry_floor_check(ws: WeightSet, schedule: Schedule) -> bool:
-    """Check min nonzero entry > min_weight ** (n-1) for every prefix product:
-    the ``min_entry`` of ``ProductTracker.block`` rows with ``tol`` 0, over
-    DENSE_RECORD_LIMIT steps at a time (O(n^2) memory), up to the first failure."""
-    if ws.graph != schedule.graph:
-        raise GraphMismatch("weight set and schedule use different graphs")
-    eps = float(entry_floor(ws))
-    tracker = ProductTracker(ws)
-    if not tracker.min_entry() > eps:
-        return False
-    edges = schedule.edge_list()
-    while part := list(islice(edges, DENSE_RECORD_LIMIT)):
-        if not all(low > eps for *_, low in tracker.block(part, 0.0)):
-            return False
-    return True

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 from .engine import RunReport, Schedule
@@ -47,6 +48,17 @@ def parse_scalar(value, where: str):
         except ValueError as exc:  # a part past Python's 4300-digit conversion limit
             raise FileFormatError(f"{where}: not readable as a rational: {exc}") from exc
     raise FileFormatError(f"{where}: expected a number or 'p/q' string")
+
+
+def rational_text(v: Fraction, edge=None) -> str:
+    """'p/q' of an exact value, in full; ``decimal`` writes a part past Python's int-to-str
+    digit limit, unless it belongs to a weight on ``edge``: ``parse_scalar`` would refuse it."""
+    try:
+        return "%d/%d" % v.as_integer_ratio()
+    except ValueError as exc:
+        if edge is not None:
+            raise FileFormatError(f"edge {edge}: not writable as a rational: {exc}") from exc
+        return "%s/%s" % tuple(map(Decimal, v.as_integer_ratio()))
 
 
 def _load_json(path):
@@ -118,8 +130,8 @@ def weights_to_json(ws: WeightSet) -> str:
     """The weights file of ``ws``: the bytes of ``json.dumps(records, indent=2)``
     and a newline. Floats in (0, 1) are finite, so ``json`` writes their repr."""
     record = '  {\n    "edge": [\n      %d,\n      %d\n    ],\n    "a_ij": %s,\n    "a_ji": %s\n  }'
-    show = '"{}"'.format if ws.exact else (lambda v: repr(float(v)))  # str(Fraction) is 'p/q'
-    body = ",\n".join([record % (i, j, show(a), show(b)) for (i, j), (a, b) in ws.items()])
+    show = (lambda v, e: f'"{rational_text(v, e)}"') if ws.exact else (lambda v, _: repr(float(v)))
+    body = ",\n".join([record % (*e, show(a, e), show(b, e)) for e, (a, b) in ws.items()])
     return f"[\n{body}\n]\n" if body else "[]\n"
 
 

@@ -37,26 +37,12 @@ class ProbabilityVector:
         if total != 1 if self.exact else not abs(total - 1.0) <= VECTOR_TOL:
             raise NotUnitSum(f"entries sum to {total}, not 1")
 
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, idx):
-        return self.entries[idx]
-
     @property
     def exact(self) -> bool:
         return all(map(is_exact, self.entries))
 
     def as_floats(self) -> tuple:
         return tuple(float(v) for v in self.entries)
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Unnormalized node potentials; the entry at ``base`` is one."""
-
-    entries: tuple
-    base: int
 
 
 def _normalized(pot: TreePotentials) -> ProbabilityVector:
@@ -78,11 +64,11 @@ def consensus_limit(ws: WeightSet, base: int = 1):
     :class:`hologossip.weights.TreePotentials` pass over the breadth-first
     tree from ``base``, which gives each node the product of directed ratios
     along its tree path from ``base``. The normalized potentials of that
-    pass form the limit, independent of ``base``; O(n + m) in all. Float
-    potentials past float64 read inf or 0 in the Potential.
+    pass form the limit, independent of ``base``; O(n + m) in all.
 
     Returns:
-        (Potential, ProbabilityVector)
+        (potentials of nodes 1..n, one at ``base``, as a tuple; ProbabilityVector).
+        Float potentials past float64 read inf or 0.
 
     Raises:
         NotHolonomic: when the weight set is not cycle-balanced (the limit
@@ -99,7 +85,7 @@ def consensus_limit(ws: WeightSet, base: int = 1):
             witness=w,
         )
     pot = report.potentials
-    return Potential(pot.values(), base), _normalized(pot)
+    return pot.values(), _normalized(pot)
 
 
 def tree_vector(ws: WeightSet, t: SpanningTree) -> ProbabilityVector:
@@ -113,26 +99,21 @@ def tree_vector(ws: WeightSet, t: SpanningTree) -> ProbabilityVector:
     return _normalized(TreePotentials(t, ws))
 
 
-def verify_left_eigenvector(ws: WeightSet, p, tol: Optional[float] = None) -> bool:
+def verify_left_eigenvector(ws: WeightSet, p) -> bool:
     """Check that p is fixed (on the left) by every edge's local matrix.
 
     For the edge (i, j) the fixed-point condition reduces to
-    p_i * a_ij == p_j * a_ji. Exact inputs are checked exactly unless a
-    ``tol`` is supplied; float inputs use ``tol`` (default 1e-12) on the
-    worst edge deviation. Such a vector exists exactly when the weight set
-    is cycle-balanced.
+    p_i * a_ij == p_j * a_ji. Exact inputs are checked exactly; float
+    inputs allow VECTOR_TOL on each edge's deviation. Such a vector exists
+    exactly when the weight set is cycle-balanced.
     """
     entries = p.entries if isinstance(p, ProbabilityVector) else tuple(p)
     if len(entries) != ws.graph.n:
         raise NonInteriorVector(f"vector has {len(entries)} entries for {ws.graph.n} nodes")
-    exact = tol is None and ws.exact and all(map(is_exact, entries))
-    limit = VECTOR_TOL if tol is None else tol
+    exact = ws.exact and all(map(is_exact, entries))
     for i, j in ws.graph.sorted_edges:
         dev = entries[i - 1] * ws.weight(i, j) - entries[j - 1] * ws.weight(j, i)
-        if exact:
-            if dev != 0:
-                return False
-        elif abs(float(dev)) > limit:
+        if dev != 0 if exact else abs(float(dev)) > VECTOR_TOL:
             return False
     return True
 

@@ -98,16 +98,6 @@ class WeightSet:
             return self
         return WeightSet(self.graph, {e: tuple(map(float, w)) for e, w in self.items()})
 
-    def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.graph == other.graph
-            and self._pairs == other._pairs
-        )
-
-    def __hash__(self):
-        return hash((self.graph, tuple(self.items())))
-
 
 def local_matrix(ws: WeightSet, edge):
     """Full n-by-n update matrix for one edge, as nested lists.

@@ -44,6 +44,13 @@ def half_weights(g, half=Fraction(1, 2)):
     return WeightSet(g, {e: (half, half) for e in g.sorted_edges})
 
 
+def uniform_weights(rng, g, lo, hi):
+    """Float weights drawn uniformly from (lo, hi), a_ij then a_ji per edge in
+    ascending edge order: ``acceptance.random_float_weights`` on another range."""
+    return WeightSet(g, {e: (float(rng.uniform(lo, hi)), float(rng.uniform(lo, hi)))
+                         for e in g.sorted_edges})
+
+
 def random_spanning_tree(rng, g):
     """Spanning tree grown over a random edge permutation."""
     edges = list(g.sorted_edges)

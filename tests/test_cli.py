@@ -1,4 +1,6 @@
+import contextlib
 import json
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -11,7 +13,8 @@ from hologossip.acceptance import random_connected_graph
 from hologossip.cli import build_parser, main
 from hologossip.engine import RunOptions, Schedule, run
 from hologossip.graph import build_graph
-from hologossip.weights import WeightSet
+from hologossip.limit import consensus_limit, nonholonomy_witness_trees
+from hologossip.weights import WeightSet, check_holonomy
 
 TRIANGLE_GRAPH = {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}
 BALANCED_RATIONAL = [
@@ -164,6 +167,28 @@ def test_schedule_files(workdir):
         files.load_schedule(write("e5.json", {"type": "explicit", "edges": 5}), g)
     with pytest.raises(errors.FileFormatError, match="p5.json: 'period' must be a list"):
         files.load_schedule(write("p5.json", {"type": "periodic", "period": 5, "repetitions": 2}), g)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"edges": [[1, 2]]}, "schedule needs a 'type' field"),
+    ([{"type": "explicit"}], "schedule needs a 'type' field"),
+    ({"type": "periodic", "period": [[1, 2]]}, "'repetitions' must be a positive integer"),
+    ({"type": "periodic", "period": [[1, 2]], "repetitions": 0}, "'repetitions' must be a positive integer"),
+    ({"type": "periodic", "period": [[1, 2]], "repetitions": "3"}, "'repetitions' must be a positive integer"),
+    ({"type": "periodic", "period": [[1, 2]], "repetitions": True}, "'repetitions' must be a positive integer"),
+    ({"type": "random", "seed": 1}, "'steps' must be a positive integer"),
+    ({"type": "random", "steps": -4, "seed": 1}, "'steps' must be a positive integer"),
+    ({"type": "random", "steps": 2.0, "seed": 1}, "'steps' must be a positive integer"),
+    ({"type": "spiral", "edges": [[1, 2]]}, "unknown schedule type 'spiral'"),
+    ({"type": None}, "unknown schedule type None"),
+])
+def test_schedule_file_errors(workdir, doc, message):
+    _, write = workdir
+    g = files.load_graph(write("g.json", TRIANGLE_GRAPH))
+    path = write("s.json", doc)
+    with pytest.raises(errors.FileFormatError) as err:
+        files.load_schedule(path, g)
+    assert str(err.value) == f"{path}: {message}"
 
 
 def test_trace_and_report_formats(balanced_float, triangle, tmp_path):
@@ -354,6 +379,87 @@ def test_cmd_design_unrepresentable_weight_exits_2(workdir, capsys, target, x, e
     assert err == f"error: edge {edge} needs a weight below the float64 range\n"
 
 
+@contextlib.contextmanager
+def _no_int_str_limit():
+    """Python's int-to-str digit limit lifted inside the block only: the
+    reference text of values whose parts pass 4,300 digits."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _reference_text(entries) -> str:
+    with _no_int_str_limit():
+        return " ".join(f"{v.numerator}/{v.denominator}" for v in entries)
+
+
+def _digits(entries) -> int:
+    """Digits of the longest numerator or denominator."""
+    with _no_int_str_limit():
+        return max(len(str(abs(x))) for v in entries for x in v.as_integer_ratio())
+
+
+#: Readable weights, "1/d…d" with 4,000 digits d, whose products pass 4,300 digits.
+LONG = {d: "1/" + str(d) * 4000 for d in (3, 7, 9)}
+
+
+def test_cmd_limit_and_check_print_exact_values_past_the_digit_limit(workdir, capsys):
+    _, write = workdir
+    g = write("g.json", {"n": 3, "edges": [[1, 2], [2, 3]]})
+    for second in (LONG[3], LONG[7]):
+        w = write("w.json", [{"edge": [1, 2], "a_ij": LONG[3], "a_ji": "1/2"},
+                             {"edge": [2, 3], "a_ij": second, "a_ji": "1/2"}])
+        ws = files.load_weights(w, files.load_graph(g))
+        _, p = consensus_limit(ws)
+        assert _digits(p.entries) > 4300
+        assert main(["limit", g, w]) == 0
+        assert capsys.readouterr() == (_reference_text(p.entries) + "\n", "")
+    # the cycle 1-2-3-1 with every ratio's long part on the same side
+    g = write("t.json", TRIANGLE_GRAPH)
+    w = write("u.json", [{"edge": [1, 2], "a_ij": "1/2", "a_ji": LONG[3]},
+                         {"edge": [2, 3], "a_ij": "1/2", "a_ji": LONG[7]},
+                         {"edge": [1, 3], "a_ij": LONG[9], "a_ji": "1/2"}])
+    ratio = check_holonomy(files.load_weights(w, files.load_graph(g))).witness.ratio
+    assert _digits([ratio]) > 4300
+    assert main(["check", g, w]) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[-1] == f"cycle ratio: {_reference_text([ratio])}"
+
+
+def test_cmd_witness_prints_exact_values_past_the_digit_limit(workdir, capsys):
+    _, write = workdir
+    g = write("t.json", TRIANGLE_GRAPH)
+    w = write("w.json", [{"edge": [1, 2], "a_ij": LONG[3], "a_ji": "1/2"},
+                         {"edge": [2, 3], "a_ij": LONG[7], "a_ji": "1/2"},
+                         {"edge": [1, 3], "a_ij": LONG[9], "a_ji": "1/2"}])
+    wt = nonholonomy_witness_trees(files.load_weights(w, files.load_graph(g)))
+    assert _digits(wt.path_vector.entries + wt.chord_vector.entries) > 4300
+    assert main(["witness", g, w]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[1] == f"vector 1: {_reference_text(wt.path_vector.entries)}"
+    assert out.splitlines()[3] == f"vector 2: {_reference_text(wt.chord_vector.entries)}"
+
+
+def test_cmd_design_refuses_weights_past_the_digit_limit(workdir, capsys, tmp_path):
+    # the weights need about 4,600 digits, which load_weights would refuse
+    _, write = workdir
+    g = write("g.json", {"n": 2, "edges": [[1, 2]]})
+    d = (10 ** 2300 - 1) // 9 * 7
+    p1, path = F(d + 3, 3 * d), tmp_path / "w.json"
+    target = f"{p1.numerator}/{p1.denominator},{(1 - p1).numerator}/{(1 - p1).denominator}"
+    assert main(["design", g, "--target", target, "--x", "1/" + "9" * 2300, "-o", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: edge (1, 2): not writable as a rational: Exceeds ")
+    assert len(err.splitlines()) == 1
+    assert not path.exists()
+    assert main(["design", g, "--target", target, "--x", "1/" + "9" * 2300]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cmd_simulate_and_reports(workdir, tmp_path, capsys, monkeypatch):
     traced = []
     monkeypatch.setattr(cli, "run", lambda *a: traced.append(a[2].trace) or run(*a))
@@ -411,11 +517,15 @@ def test_parser_is_reused_across_commands(workdir, capsys):
     assert [_run_cli(argv, capsys) for argv in commands] == first
 
 
-def test_cmd_simulate_config_errors(workdir):
+def test_cmd_simulate_config_errors(workdir, capsys):
     _, write = workdir
     g = write("g.json", TRIANGLE_GRAPH)
     w = write("w.json", BALANCED_RATIONAL)
     assert main(["simulate", g, w, "--random-steps", "10"]) == 2  # missing seed
+    capsys.readouterr()
+    s = write("s.json", {"type": "explicit", "edges": [[1, 2]]})
+    assert main(["simulate", g, w, "--schedule", s, "--random-steps", "10", "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: give either --schedule or --random-steps, not both\n")
     assert main(["simulate", g, w, "--random-steps", "10", "--seed", "1", "--tol", "0"]) == 2
     assert main(["simulate", g, w]) == 2
 

@@ -26,14 +26,12 @@ from hologossip.engine import (
     classify_schedule,
     ergodicity_coefficient,
     is_scrambling,
-    min_entry_floor_check,
     run,
     seminorm,
 )
 from hologossip.graph import UnionFind, build_graph
-from hologossip.limit import verify_left_eigenvector
 from hologossip.weights import WeightSet, entry_floor, local_matrix
-from conftest import half_weights
+from conftest import half_weights, uniform_weights
 
 
 def test_gossip_step_worked(balanced_float):
@@ -123,6 +121,9 @@ def test_ergodicity_rejects_non_stochastic():
         ergodicity_coefficient([[0.5, 0.4], [0.5, 0.5]])
     with pytest.raises(errors.NotStochastic):
         ergodicity_coefficient([[1.2, -0.2], [0.5, 0.5]])
+    for shape in ([[0.5, 0.5]], [[1.0], [1.0]], [1.0], [[[1.0]]]):
+        with pytest.raises(errors.NotStochastic, match="matrix must be square"):
+            ergodicity_coefficient(shape)
 
 
 def test_is_scrambling_examples(balanced_float):
@@ -257,7 +258,10 @@ def test_run_limit_consistency(balanced_float):
     assert report.converged
     for row in report.P:
         assert max(abs(row - np.asarray(report.p_hat))) < report.tol
-    assert verify_left_eigenvector(balanced_float, report.p_hat, tol=10 * report.tol)
+    # p_hat is fixed by every local matrix: p_i * a_ij == p_j * a_ji, up to the run's tol
+    p = report.p_hat
+    residual = max(abs(p[i - 1] * w.a_ij - p[j - 1] * w.a_ji) for (i, j), w in balanced_float.items())
+    assert residual <= 10 * report.tol
 
 
 def test_run_carries_state_vector(balanced_float):
@@ -437,7 +441,7 @@ def _slow_case(seed):
     spanning period to about as many steps, neither a multiple of 100."""
     rng = np.random.default_rng(900 + seed)
     g = random_connected_graph(rng, 3 + seed % 6, extra=seed % 3)
-    ws = random_float_weights(rng, g, 0.005, 0.05)
+    ws = uniform_weights(rng, g, 0.005, 0.05)
     if seed % 2:
         return ws, Schedule.random(g, seed=seed, steps=1957), rng
     edges = g.sorted_edges
@@ -477,7 +481,7 @@ def test_checkpoint_rule_at_tolerance_boundary():
     for seed in (6, 27):
         rng = np.random.default_rng(500 + seed)
         g = random_connected_graph(rng, 5 + seed % 4, extra=2)
-        ws = random_float_weights(rng, g, 0.3, 0.7)
+        ws = uniform_weights(rng, g, 0.3, 0.7)
         schedule = Schedule.random(g, seed=seed, steps=1800)
         s = _seminorms(ws, schedule)
         low = np.minimum.accumulate(s)
@@ -614,13 +618,21 @@ def test_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
                                               + [3456])
 
 
+def _floor_holds(ws, schedule):
+    """Acceptance criterion 8's test: with tol 0 the trace has one row per step,
+    and every row's min_entry is above min_weight ** (n - 1)."""
+    report = run(ws, schedule, RunOptions(tol=0.0))
+    assert len(report.trace) == len(schedule)
+    return all(row.min_entry > report.epsilon for row in report.trace)
+
+
 def test_min_entry_floor_worked(balanced_float, triangle):
     # single factor: min P equals the smallest entry of that local matrix
-    assert min_entry_floor_check(balanced_float, Schedule.explicit(triangle, [(2, 3)]))
-    assert min_entry_floor_check(balanced_float, Schedule.explicit(triangle, []))
+    assert _floor_holds(balanced_float, Schedule.explicit(triangle, [(2, 3)]))
+    assert _floor_holds(balanced_float, Schedule.explicit(triangle, []))
     s = Schedule.random(triangle, seed=13, steps=1000)
     assert float(entry_floor(balanced_float)) == pytest.approx(0.04)
-    assert min_entry_floor_check(balanced_float, s)
+    assert _floor_holds(balanced_float, s)
 
 
 # -- min_entry from per-row floors ------------------------------------------
@@ -698,7 +710,7 @@ def test_min_entry_floor_check_matches_mask():
         schedule = Schedule.random(g, seed=seed, steps=300)
         eps = float(entry_floor(ws))
         expected = all(_min_positive(P) > eps for _, P in _plain_steps(ws, schedule.edge_list()))
-        assert min_entry_floor_check(ws, schedule) == expected
+        assert _floor_holds(ws, schedule) == expected
         outcomes.append(expected)
     assert 5 <= sum(outcomes) <= 35
     # a path and a cycle at n >= 40, where most rows stay untouched for many steps;
@@ -715,30 +727,9 @@ def test_min_entry_floor_check_matches_mask():
             schedule = Schedule.explicit(g, edges)
             eps = float(entry_floor(ws))
             expected = all(_min_positive(P) > eps for _, P in _plain_steps(ws, schedule.edge_list()))
-            assert min_entry_floor_check(ws, schedule) == expected
+            assert _floor_holds(ws, schedule) == expected
             outcomes.append(expected)
     assert True in outcomes and False in outcomes
-    # the check goes DENSE_RECORD_LIMIT steps at a time: on the all-1/2 40-node path,
-    # steps that leave edge (39, 40) out, then the sweep, reach the floor first at the
-    # last step of the first part, the first of the second, and inside the third, each
-    # at the schedule's end and 200 steps before it; and a schedule over three parts
-    # with no step at the floor
-    g = build_graph(40, [(v, v + 1) for v in range(1, 40)])
-    ws = half_weights(g, 0.5)
-    eps = float(entry_floor(ws))
-    rng = np.random.default_rng(1000)
-    steps = [g.sorted_edges[int(k)] for k in rng.integers(0, len(g.sorted_edges), 3000)]
-    inner = [e for e in steps if e != (39, 40)]
-    sweep = [(v, v + 1) for v in range(39, 0, -1)]
-    cases = [(None, steps[:2500])]
-    for at in (DENSE_RECORD_LIMIT, DENSE_RECORD_LIMIT + 1, 2 * DENSE_RECORD_LIMIT + 500):
-        cases += [(at, inner[:at - len(sweep)] + sweep + tail) for tail in ([], steps[:200])]
-    for at, edges in cases:
-        schedule = Schedule.explicit(g, edges)
-        first = next((t for t, (_, P) in enumerate(_plain_steps(ws, schedule.edge_list()), 1)
-                      if _min_positive(P) <= eps), None)
-        assert first == at
-        assert min_entry_floor_check(ws, schedule) == (first is None)
 
 
 # -- checkpoint-only runs (RunOptions.trace False) ----------------------------
@@ -773,7 +764,7 @@ def test_untraced_run_matches_every_step_rule(seed):
     # steps 100 and 101 in some of the schedules
     rng = np.random.default_rng(1400 + seed)
     g = random_connected_graph(rng, 3 + seed % 6, extra=seed % 3)
-    ws = random_float_weights(rng, g, 0.01, 0.1)
+    ws = uniform_weights(rng, g, 0.01, 0.1)
     edges = g.sorted_edges
     period = [edges[int(k)] for k in rng.permutation(len(edges))]
     schedules = [Schedule.random(g, seed=seed, steps=1500),

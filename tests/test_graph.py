@@ -9,6 +9,7 @@ from hologossip.graph import (
     fundamental_cycles,
     spanning_tree,
     spanning_tree_containing,
+    spanning_tree_from_edges,
 )
 from hologossip.weights import local_matrix
 
@@ -128,6 +129,19 @@ def test_spanning_tree_containing_keeps_required_edges():
     assert len(t.edges) == 3
     with pytest.raises(errors.InvalidWalk):
         spanning_tree_containing(g, {(1, 2), (2, 3), (1, 3)})
+
+
+@pytest.mark.parametrize("edges", [
+    [(1, 2)],  # misses node 3
+    [(1, 2), (2, 3), (1, 3)],  # a cycle
+    [(1, 2), (3, 4), (1, 4), (1, 3)],  # spans, but one edge too many
+    [(2, 3), (3, 4), (2, 4)],  # a cycle away from the root, which node 1 misses
+])
+def test_spanning_tree_from_edges_rejects_a_non_tree(edges):
+    g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4), (1, 3), (2, 4)])
+    with pytest.raises(errors.DisconnectedGraph, match="edge set is not a spanning tree"):
+        spanning_tree_from_edges(g, edges)
+    assert spanning_tree_from_edges(g, [(1, 2), (2, 3), (3, 4)]).parent == {1: None, 2: 1, 3: 2, 4: 3}
 
 
 

@@ -25,14 +25,13 @@ from conftest import half_weights, random_spanning_tree
 
 def test_consensus_limit_worked_example(balanced):
     q, p = consensus_limit(balanced)
-    assert q.entries == (F(1), F(2, 3), F(1, 3))
-    assert q.base == 1
+    assert q == (F(1), F(2, 3), F(1, 3))
     assert p.entries == (F(1, 2), F(1, 3), F(1, 6))
 
 
 def test_consensus_limit_other_base_scales_potential(balanced):
     q, p = consensus_limit(balanced, base=2)
-    assert q.entries == (F(3, 2), F(1), F(1, 2))
+    assert q == (F(3, 2), F(1), F(1, 2))
     assert p.entries == (F(1, 2), F(1, 3), F(1, 6))
 
 
@@ -81,6 +80,8 @@ def test_tree_vector_agrees_with_limit_when_balanced():
 def test_verify_left_eigenvector_worked(balanced):
     assert verify_left_eigenvector(balanced, (F(1, 2), F(1, 3), F(1, 6)))
     assert not verify_left_eigenvector(balanced, (F(1, 3), F(1, 3), F(1, 3)))
+    tiny = F(1, 10 ** 400)  # below every float: exact vectors are checked exactly
+    assert not verify_left_eigenvector(balanced, (F(1, 2) + tiny, F(1, 3), F(1, 6) - tiny))
 
 
 def test_verify_left_eigenvector_two_node():
@@ -98,7 +99,9 @@ def test_verify_left_eigenvector_rejects_wrong_length(balanced):
 def test_verify_left_eigenvector_float_tolerance(balanced_float):
     p = (0.5, 1 / 3, 1 / 6)
     assert verify_left_eigenvector(balanced_float, p)
-    assert verify_left_eigenvector(balanced_float, (0.5 + 5e-7, 1 / 3, 1 / 6 - 5e-7), tol=1e-5)
+    # moving d from node 3 to node 1 gives edge deviations 0.2d, 0 and 0.8d
+    assert verify_left_eigenvector(balanced_float, (0.5 + 1e-13, 1 / 3, 1 / 6 - 1e-13))
+    assert not verify_left_eigenvector(balanced_float, (0.5 + 1e-11, 1 / 3, 1 / 6 - 1e-11))
     assert not verify_left_eigenvector(balanced_float, (0.45, 0.35, 0.20))
 
 

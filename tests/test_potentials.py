@@ -26,6 +26,7 @@ from hologossip.design import design_for, sample_box_point
 from hologossip.graph import SpanningTree, build_graph, fundamental_cycles, spanning_tree
 from hologossip.limit import VECTOR_TOL, consensus_limit, tree_vector
 from hologossip.weights import HOLONOMY_TOL, WeightSet, check_holonomy, walk_ratio
+from conftest import uniform_weights
 
 
 def reference_limit(ws, base):
@@ -67,16 +68,16 @@ def test_limit_matches_walk_reference_over_every_base():
         for ws in (exact, exact.to_float(), on_tree):
             for base in range(1, n + 1):
                 q, p = consensus_limit(ws, base)
-                assert repr((q.entries, p.entries)) == repr(reference_limit(ws, base))
+                assert repr((q, p.entries)) == repr(reference_limit(ws, base))
 
 
 def test_limit_matches_walk_reference_on_deep_float_paths():
     rng = np.random.default_rng(103)
     for n in (300, 700):
-        ws = random_float_weights(rng, path_graph(n), lo=0.3, hi=0.7)
+        ws = uniform_weights(rng, path_graph(n), 0.3, 0.7)
         for base in (1, n // 3, n):
             q, p = consensus_limit(ws, base)
-            assert repr((q.entries, p.entries)) == repr(reference_limit(ws, base))
+            assert repr((q, p.entries)) == repr(reference_limit(ws, base))
 
 
 def test_check_matches_walk_reference():

@@ -41,3 +41,64 @@ def test_every_public_def_has_a_src_caller():
             if node.name not in here | elsewhere and (module, node.name) not in ALLOWED:
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+#: (module, function, parameter) whose default no src call overrides, with the reason.
+ALLOWED_DEFAULTS = {
+    ("cli", "main", "argv"): "the entry point: the console script calls main() and "
+                             "reads sys.argv, while embedding callers pass argv",
+}
+
+
+def _functions(tree):
+    """(name to match calls by, positional offset, FunctionDef) of every function
+    and method; ``__init__`` is matched by its class name, and a method's first
+    parameter is bound, not passed."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, 0, node
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in sub.decorator_list)
+                    yield node.name if sub.name == "__init__" else sub.name, 0 if static else 1, sub
+
+
+def _defaulted(fn, offset):
+    """(parameter name, position in a call or None) of each parameter with a default."""
+    args = fn.args.posonlyargs + fn.args.args
+    for k, arg in enumerate(args[len(args) - len(fn.args.defaults):], len(args) - len(fn.args.defaults)):
+        yield arg.arg, k - offset
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call, name, position) -> bool:
+    if any(kw.arg in (name, None) for kw in call.keywords):  # None: **kwargs
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_every_defaulted_parameter_is_passed_by_src():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                callee = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unpassed = []
+    for module, tree in trees.items():
+        for callee, offset, fn in _functions(tree):
+            for name, position in _defaulted(fn, offset):
+                if (module, fn.name, name) in ALLOWED_DEFAULTS:
+                    continue
+                if not any(_passes(c, name, position) for c in calls.get(callee, [])):
+                    unpassed.append(f"{module}.{fn.name}({name})")
+    assert unpassed == []
