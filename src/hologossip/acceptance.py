@@ -106,9 +106,7 @@ def random_float_weights(rng, g: Graph) -> WeightSet:
 def random_local_product(rng, ws: WeightSet, steps: int) -> np.ndarray:
     tracker = ProductTracker(ws)
     order = ws.graph.sorted_edges
-    for _ in range(steps):
-        e = order[int(rng.integers(0, len(order)))]
-        tracker.step(e)
+    tracker.advance([order[int(rng.integers(0, len(order)))] for _ in range(steps)])
     return tracker.P
 
 
@@ -356,11 +354,9 @@ def criterion_scrambling_and_contraction() -> AcceptanceResult:
         g = random_connected_graph(rng, n, extra=2)
         ws = random_float_weights(rng, g)
         tracker = ProductTracker(ws)
-        for _ in range(n // 2):
-            # a permutation of the full edge set covers a spanning tree
-            for idx in rng.permutation(len(g.sorted_edges)):
-                e = g.sorted_edges[int(idx)]
-                tracker.step(e)
+        # a permutation of the full edge set covers a spanning tree
+        tracker.advance([g.sorted_edges[int(idx)] for _ in range(n // 2)
+                         for idx in rng.permutation(len(g.sorted_edges))])
         P = tracker.P
         if not is_scrambling(P):
             return AcceptanceResult(False, f"case {k}: product not scrambling")
@@ -396,9 +392,9 @@ def criterion_structural_update_fidelity() -> AcceptanceResult:
         tracker = ProductTracker(ws)
         dense = np.eye(n)
         order = g.sorted_edges
-        for _ in range(20):
-            e = order[int(rng.integers(0, len(order)))]
-            tracker.step(e)
+        edges = [order[int(rng.integers(0, len(order)))] for _ in range(20)]
+        tracker.advance(edges)
+        for e in edges:
             dense = np.array(local_matrix(ws, e), dtype=float) @ dense
         worst = max(worst, float(np.abs(tracker.P - dense).max()))
     return AcceptanceResult(

@@ -136,11 +136,11 @@ def cmd_simulate(args) -> int:
     ws = files.load_weights(args.weights, g)
     if not 0 < args.tol <= 1:  # the identity's seminorm is 1: a larger tol stops at once
         raise FileFormatError(f"--tol must be in (0, 1], got {args.tol}")
-    if args.schedule and args.random_steps:
+    if args.schedule and args.random_steps is not None:
         raise FileFormatError("give either --schedule or --random-steps, not both")
     if args.schedule:
         schedule = files.load_schedule(args.schedule, g, seed_override=args.seed)
-    elif args.random_steps:
+    elif args.random_steps is not None:
         if args.seed is None:
             raise FileFormatError("--random-steps needs --seed (no silent entropy)")
         schedule = Schedule.random(g, args.seed, args.random_steps)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import NonInteriorVector, ParameterOutOfRange, WeightOutOfRange
 from .graph import Graph
-from .limit import ProbabilityVector
 from .weights import WeightSet, is_exact, ratio
 
 #: Default margin keeping sampled box parameters away from 0 and 1.
@@ -41,20 +40,20 @@ def weight_ratios(ws: WeightSet) -> tuple:
 
 
 def distribution_ratios(p, g: Graph) -> tuple:
-    """Quotients p_j / p_i, one per edge (i, j) of ``g`` in ``sorted_edges`` order.
+    """Quotients p_j / p_i of the sequence ``p``, one per edge (i, j) of ``g``
+    in ``sorted_edges`` order.
 
     The result is balanced around every cycle. When a float quotient is past
     float64, every quotient is taken exactly, as a Fraction of two floats.
     Raises NonInteriorVector if any entry is not positive and finite.
     """
-    entries = p.entries if isinstance(p, ProbabilityVector) else tuple(p)
-    if len(entries) != g.n:
-        raise NonInteriorVector(f"vector has {len(entries)} entries for {g.n} nodes")
-    if any(not 0 < v < math.inf for v in entries):
+    if len(p) != g.n:
+        raise NonInteriorVector(f"vector has {len(p)} entries for {g.n} nodes")
+    if any(not 0 < v < math.inf for v in p):
         raise NonInteriorVector("target vector must be strictly positive and finite")
-    ratios = tuple(entries[j - 1] / entries[i - 1] for i, j in g.sorted_edges)
+    ratios = tuple(p[j - 1] / p[i - 1] for i, j in g.sorted_edges)
     if math.inf in ratios:
-        ratios = tuple(Fraction(entries[j - 1]) / Fraction(entries[i - 1])
+        ratios = tuple(Fraction(p[j - 1]) / Fraction(p[i - 1])
                        for i, j in g.sorted_edges)
     return ratios
 

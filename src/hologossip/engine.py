@@ -88,13 +88,13 @@ RISE = 8 * 2.0 ** -53
 
 @dataclass(frozen=True)
 class Schedule:
-    """Finite edge sequence: explicit list, repeated period, or seeded draws."""
+    """Finite edge sequence: ``edges`` repeated ``repetitions`` times (once when
+    explicit), or seeded draws."""
 
     graph: Graph
     kind: str  # "explicit" | "periodic" | "random"
     edges: tuple = ()
-    period: tuple = ()
-    repetitions: int = 0
+    repetitions: int = 1
     seed: Optional[int] = None
     steps: int = 0
 
@@ -110,7 +110,7 @@ class Schedule:
             raise InvalidSchedule("period must be nonempty")
         if repetitions < 1:
             raise InvalidSchedule("repetitions must be >= 1")
-        return cls(graph=graph, kind="periodic", period=canon, repetitions=repetitions)
+        return cls(graph=graph, kind="periodic", edges=canon, repetitions=repetitions)
 
     @classmethod
     def random(cls, graph: Graph, seed: int, steps: int) -> "Schedule":
@@ -125,19 +125,15 @@ class Schedule:
         return cls(graph=graph, kind="random", seed=int(seed), steps=int(steps))
 
     def __len__(self):
-        if self.kind == "explicit":
-            return len(self.edges)
-        if self.kind == "periodic":
-            return len(self.period) * self.repetitions
-        return self.steps
+        if self.kind == "random":
+            return self.steps
+        return len(self.edges) * self.repetitions
 
     def edge_list(self) -> Iterator[tuple]:
         """Yield the edge sequence in order; random edges are drawn DRAW_CHUNK at a time."""
-        if self.kind == "explicit":
-            yield from self.edges
-        elif self.kind == "periodic":
+        if self.kind != "random":
             for _ in range(self.repetitions):
-                yield from self.period
+                yield from self.edges
         else:
             rng = np.random.Generator(np.random.PCG64(self.seed))
             order = self.graph.sorted_edges
@@ -181,7 +177,7 @@ def classify_schedule(s: Schedule) -> ScheduleClass:
         return ScheduleClass(spanning=spanning_prefix(n, s.edges) is not None)
     if s.kind == "random":
         return ScheduleClass(spanning=True)
-    period = s.period
+    period = s.edges
     if spanning_prefix(n, period) is None:
         return ScheduleClass(spanning=False)
     m = max(spanning_prefix(n, period[o:] + period[:o]) for o in range(len(period)))
@@ -216,10 +212,10 @@ class ProductTracker:
     """Running left product of the local matrices of a weight set.
 
     Starts at the identity, with each edge's ``_mix`` entry tabled once
-    under both orientations. ``step(edge)`` replaces rows i and j with the
-    rows of c0 * P[i] + c1 * P[j]; each entry is fl(fl(c x) + fl(c' y)), as
-    in two separate row updates; ``advance`` does the same on float lists
-    below PLAIN_ROWS_BELOW nodes. ``min_entry`` is the min of one
+    under both orientations. ``advance(edges)`` replaces rows i and j, edge
+    by edge, with the rows of c0 * P[i] + c1 * P[j]; each entry is
+    fl(fl(c x) + fl(c' y)), as in two separate row updates, in numpy or, below
+    PLAIN_ROWS_BELOW nodes, on float lists. ``min_entry`` is the min of one
     positive-entry floor per row, taken from P when read.
     """
 
@@ -230,25 +226,21 @@ class ProductTracker:
         for e, w in ws.items():
             self._mixes[e] = self._mixes[e[::-1]] = _mix(e, w)
 
-    def step(self, edge) -> "ProductTracker":
-        i, j, c0, c1, _ = self._mixes[edge]
-        S = c0 * self.P[i] + c1 * self.P[j]
-        self.P[i] = S[0]
-        self.P[j] = S[1]
-        self.t += 1
-        return self
-
     def advance(self, edges: list) -> None:
-        """``step`` through ``edges``, on float lists below PLAIN_ROWS_BELOW nodes."""
-        if len(self.P) >= PLAIN_ROWS_BELOW:
+        """Step through ``edges``, on float lists below PLAIN_ROWS_BELOW nodes."""
+        P = self.P
+        if len(P) >= PLAIN_ROWS_BELOW:
             for edge in edges:
-                self.step(edge)
-            return
-        R = self.P.tolist()
-        for edge in edges:
-            i, j, _, _, p = self._mixes[edge]
-            R[i], R[j] = _plain_step(R[i], R[j], *p)
-        self.P[:] = R
+                i, j, c0, c1, _ = self._mixes[edge]
+                S = c0 * P[i] + c1 * P[j]  # unpacking S into P[i], P[j] iterates it: slower
+                P[i] = S[0]
+                P[j] = S[1]
+        else:
+            R = P.tolist()
+            for edge in edges:
+                i, j, _, _, p = self._mixes[edge]
+                R[i], R[j] = _plain_step(R[i], R[j], *p)
+            P[:] = R
         self.t += len(edges)
 
     def restore(self, snapshot: np.ndarray, t: int) -> None:

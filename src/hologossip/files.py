@@ -30,6 +30,12 @@ from .weights import WeightSet
 _RATIONAL_RE = re.compile(r"^\s*[+-]?\d+\s*/\s*[1-9]\d*\s*$")
 
 
+def _refusal(what: str, exc: Exception) -> FileFormatError:
+    """``what: <the message of exc>``, without the advice that Python's int/str digit
+    limit adds, to call sys.set_int_max_str_digits(), which a CLI user cannot follow."""
+    return FileFormatError(f"{what}: {str(exc).split('; use sys.set_int_max_str_digits()')[0]}")
+
+
 def parse_scalar(value, where: str):
     """JSON number -> float; string 'p/q' -> Fraction, with any whitespace
     around its sign, digits and slash left out."""
@@ -46,7 +52,7 @@ def parse_scalar(value, where: str):
         try:
             return Fraction("".join(value.split()))
         except ValueError as exc:  # a part past Python's 4300-digit conversion limit
-            raise FileFormatError(f"{where}: not readable as a rational: {exc}") from exc
+            raise _refusal(f"{where}: not readable as a rational", exc) from exc
     raise FileFormatError(f"{where}: expected a number or 'p/q' string")
 
 
@@ -57,7 +63,7 @@ def rational_text(v: Fraction, edge=None) -> str:
         return "%d/%d" % v.as_integer_ratio()
     except ValueError as exc:
         if edge is not None:
-            raise FileFormatError(f"edge {edge}: not writable as a rational: {exc}") from exc
+            raise _refusal(f"edge {edge}: not writable as a rational", exc) from exc
         return "%s/%s" % tuple(map(Decimal, v.as_integer_ratio()))
 
 
@@ -70,7 +76,7 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, an int past 4300 digits, deep nesting
-        raise FileFormatError(f"{path}: not readable as JSON: {exc}") from exc
+        raise _refusal(f"{path}: not readable as JSON", exc) from exc
 
 
 def _is_pair(raw) -> bool:

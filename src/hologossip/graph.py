@@ -56,11 +56,6 @@ class Graph:
             adj.setdefault(j, []).append(i)
         return {v: tuple(nbrs) for v, nbrs in adj.items()}
 
-    def neighbors(self, v: int) -> tuple:
-        if not 1 <= v <= self.n:
-            raise InvalidNode(f"node {v} outside 1..{self.n}")
-        return self.adjacency.get(v, ())
-
     def has_edge(self, i: int, j: int) -> bool:
         return normalize_edge(i, j) in self.edges
 
@@ -95,24 +90,25 @@ def build_graph(n: int, edges: Iterable) -> Graph:
             raise DuplicateEdge(f"edge ({e[0]},{e[1]}) given more than once")
         seen.add(e)
     g = Graph(n=n, edges=frozenset(seen))
-    reached = bfs_parents(1, g.neighbors)
+    reached = bfs_parents(1, g.adjacency)
     if len(reached) != n:
         missing = next(v for v in range(1, n + 1) if v not in reached)
         raise DisconnectedGraph(f"node {missing} unreachable from node 1")
     return g
 
 
-def bfs_parents(root: int, neighbors) -> dict:
+def bfs_parents(root: int, adjacency) -> dict:
     """Breadth-first parent pointers from ``root``, in visiting order.
 
-    ``neighbors(u)`` yields the nodes adjacent to u in the order to visit
-    them. The root maps to None; unreachable nodes are absent.
+    ``adjacency`` maps a node to its neighbors in the order to visit them; a
+    node it leaves out has none. The root maps to None; unreachable nodes
+    are absent.
     """
     parent = {root: None}
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for v in neighbors(u):
+        for v in adjacency.get(u, ()):
             if v not in parent:
                 parent[v] = u
                 queue.append(v)
@@ -166,7 +162,7 @@ def spanning_tree(g: Graph, root: int = 1) -> SpanningTree:
     """
     if not (1 <= root <= g.n):
         raise InvalidNode(f"root {root} outside 1..{g.n}")
-    parent = bfs_parents(root, g.neighbors)
+    parent = bfs_parents(root, g.adjacency)
     edges = frozenset(normalize_edge(v, p) for v, p in parent.items() if p is not None)
     return SpanningTree(root=root, parent=parent, edges=edges)
 
@@ -174,8 +170,7 @@ def spanning_tree(g: Graph, root: int = 1) -> SpanningTree:
 def spanning_tree_from_edges(g: Graph, edges: Iterable) -> SpanningTree:
     """Root the given spanning edge set at node 1 via BFS over those edges."""
     treeset = frozenset(g.require_edge(*e) for e in edges)
-    parent = bfs_parents(1, lambda u: [v for v in g.neighbors(u)
-                                       if normalize_edge(u, v) in treeset])
+    parent = bfs_parents(1, Graph(g.n, treeset).adjacency)
     if len(parent) != g.n or len(treeset) != g.n - 1:
         raise DisconnectedGraph("edge set is not a spanning tree")
     return SpanningTree(root=1, parent=parent, edges=treeset)

@@ -99,7 +99,7 @@ def tree_vector(ws: WeightSet, t: SpanningTree) -> ProbabilityVector:
     return _normalized(TreePotentials(t, ws))
 
 
-def verify_left_eigenvector(ws: WeightSet, p) -> bool:
+def verify_left_eigenvector(ws: WeightSet, p: ProbabilityVector) -> bool:
     """Check that p is fixed (on the left) by every edge's local matrix.
 
     For the edge (i, j) the fixed-point condition reduces to
@@ -107,7 +107,7 @@ def verify_left_eigenvector(ws: WeightSet, p) -> bool:
     inputs allow VECTOR_TOL on each edge's deviation. Such a vector exists
     exactly when the weight set is cycle-balanced.
     """
-    entries = p.entries if isinstance(p, ProbabilityVector) else tuple(p)
+    entries = p.entries
     if len(entries) != ws.graph.n:
         raise NonInteriorVector(f"vector has {len(entries)} entries for {ws.graph.n} nodes")
     exact = ws.exact and all(map(is_exact, entries))

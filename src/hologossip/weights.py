@@ -127,13 +127,13 @@ def ratio(ws: WeightSet, i: int, j: int) -> Scalar:
     return num / den
 
 
-def walk_ratio(ws: WeightSet, w) -> Scalar:
-    """Product of directed ratios along a walk; 1 for empty or single-node walks.
+def walk_ratio(ws: WeightSet, nodes) -> Scalar:
+    """Product of directed ratios along the walk through the node sequence
+    ``nodes``; 1 for empty or single-node walks.
 
     Multiplicative over concatenation, and equal to 1 on any walk followed
     by its own inverse.
     """
-    nodes = w.nodes if isinstance(w, Walk) else tuple(w)
     value = ws.one()
     for u, v in zip(nodes, nodes[1:]):
         if not ws.graph.has_edge(u, v):
@@ -247,7 +247,7 @@ def check_holonomy(ws: WeightSet, root: int = 1) -> HolonomyReport:
     if failing is None:
         return HolonomyReport(True, None, margin, pot)
     cycle = fundamental_cycle(t, *failing)
-    return HolonomyReport(False, HolonomyWitness(cycle, walk_ratio(ws, cycle)), margin, pot)
+    return HolonomyReport(False, HolonomyWitness(cycle, walk_ratio(ws, cycle.nodes)), margin, pot)
 
 
 def min_weight(ws: WeightSet) -> Scalar:

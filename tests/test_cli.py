@@ -444,20 +444,55 @@ def test_cmd_witness_prints_exact_values_past_the_digit_limit(workdir, capsys):
     assert out.splitlines()[3] == f"vector 2: {_reference_text(wt.chord_vector.entries)}"
 
 
+def _design_past_the_digit_limit(g) -> list:
+    """design argv whose weights need about 4,600 digits, from a 2,300-digit target."""
+    d = (10 ** 2300 - 1) // 9 * 7
+    p1 = F(d + 3, 3 * d)
+    target = f"{p1.numerator}/{p1.denominator},{(1 - p1).numerator}/{(1 - p1).denominator}"
+    return ["design", g, "--target", target, "--x", "1/" + "9" * 2300]
+
+
 def test_cmd_design_refuses_weights_past_the_digit_limit(workdir, capsys, tmp_path):
     # the weights need about 4,600 digits, which load_weights would refuse
     _, write = workdir
-    g = write("g.json", {"n": 2, "edges": [[1, 2]]})
-    d = (10 ** 2300 - 1) // 9 * 7
-    p1, path = F(d + 3, 3 * d), tmp_path / "w.json"
-    target = f"{p1.numerator}/{p1.denominator},{(1 - p1).numerator}/{(1 - p1).denominator}"
-    assert main(["design", g, "--target", target, "--x", "1/" + "9" * 2300, "-o", str(path)]) == 2
+    argv = _design_past_the_digit_limit(write("g.json", {"n": 2, "edges": [[1, 2]]}))
+    path = tmp_path / "w.json"
+    assert main(argv + ["-o", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: edge (1, 2): not writable as a rational: Exceeds ")
     assert len(err.splitlines()) == 1
     assert not path.exists()
-    assert main(["design", g, "--target", target, "--x", "1/" + "9" * 2300]) == 2
+    assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_digit_limit_errors_leave_out_pythons_advice(workdir, capsys):
+    tmp, write = workdir
+    g, w = write("g.json", TRIANGLE_GRAPH), write("w.json", BALANCED_RATIONAL)
+    long_rational = write("long.json", [{"edge": [1, 2], "a_ij": "1/" + "9" * 5000,
+                                         "a_ji": "1/2"}])
+    long_int = tmp / "n.json"
+    long_int.write_bytes(b'{"n": ' + b"1" * 5000 + b', "edges": []}')
+    pair = write("pair.json", {"n": 2, "edges": [[1, 2]]})
+    for argv, where in (
+            (["check", g, long_rational], f"{long_rational}: record 0: a_ij: not readable"),
+            (["check", str(long_int), w], f"{long_int}: not readable as JSON"),
+            (_design_past_the_digit_limit(pair), "edge (1, 2): not writable")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {where}") and "Exceeds the limit" in err
+        assert "set_int_max_str_digits" not in err
+
+
+def test_cmd_simulate_zero_random_steps(workdir, capsys):
+    _, write = workdir
+    g, w = write("g.json", TRIANGLE_GRAPH), write("w.json", BALANCED_RATIONAL)
+    assert main(["simulate", g, w, "--random-steps", "0", "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: steps must be >= 1, got 0\n")
+    s = write("s.json", {"type": "explicit", "edges": [[1, 2]]})
+    assert main(["simulate", g, w, "--schedule", s, "--random-steps", "0"]) == 2
+    assert capsys.readouterr() == ("", "error: give either --schedule or --random-steps, not both\n")
 
 
 def test_cmd_simulate_and_reports(workdir, tmp_path, capsys, monkeypatch):

@@ -34,37 +34,40 @@ from hologossip.weights import WeightSet, entry_floor, local_matrix
 from conftest import half_weights, uniform_weights
 
 
+def _stepped(ws, *edges) -> ProductTracker:
+    tracker = ProductTracker(ws)
+    tracker.advance(list(edges))
+    return tracker
+
+
 def test_gossip_step_worked(balanced_float):
     # the README example: a step on edge (1, 2) with (a_12, a_21) = (0.2, 0.3)
     # takes the state x = [1, 0, 0] to P @ x
-    P = ProductTracker(balanced_float).step((1, 2)).P
+    P = _stepped(balanced_float, (1, 2)).P
     assert list(P @ [1.0, 0.0, 0.0]) == [0.8, 0.3, 0.0]
 
 
 def test_gossip_step_fixes_consensus(balanced_float):
-    P = ProductTracker(balanced_float).step((2, 3)).P
+    P = _stepped(balanced_float, (2, 3)).P
     assert np.array_equal(P @ np.full(3, 0.7), np.full(3, 0.7))
 
 
 def test_gossip_step_plain_average():
-    P = ProductTracker(half_weights(build_graph(2, [(1, 2)]), 0.5)).step((1, 2)).P
+    P = _stepped(half_weights(build_graph(2, [(1, 2)]), 0.5), (1, 2)).P
     assert list(P @ [1.0, 0.0]) == [0.5, 0.5]
 
 
 def test_tracker_single_step_is_local_matrix(balanced_float):
-    tracker = ProductTracker(balanced_float)
-    tracker.step((1, 2))
+    tracker = _stepped(balanced_float, (1, 2))
     assert np.array_equal(tracker.P, np.array(local_matrix(balanced_float, (1, 2)), dtype=float))
     assert tracker.t == 1
-    assert np.array_equal(ProductTracker(balanced_float).step((2, 1)).P, tracker.P)
+    assert np.array_equal(_stepped(balanced_float, (2, 1)).P, tracker.P)
 
 
 def test_tracker_two_steps_order_sensitive(balanced_float):
     a12 = np.array(local_matrix(balanced_float, (1, 2)), dtype=float)
     a23 = np.array(local_matrix(balanced_float, (2, 3)), dtype=float)
-    tracker = ProductTracker(balanced_float)
-    tracker.step((1, 2))
-    tracker.step((2, 3))
+    tracker = _stepped(balanced_float, (1, 2), (2, 3))
     assert np.allclose(tracker.P, a23 @ a12, atol=1e-15)
     assert not np.allclose(tracker.P, a12 @ a23, atol=1e-3)
 
@@ -77,7 +80,7 @@ def test_tracker_support_never_shrinks():
     prev = tracker.P > 0
     for _ in range(30):
         e = g.sorted_edges[int(rng.integers(0, len(g.sorted_edges)))]
-        tracker.step(e)
+        tracker.advance([e])
         cur = tracker.P > 0
         assert (cur >= prev).all()
         prev = cur
@@ -90,7 +93,7 @@ def test_tracker_rows_stay_stochastic():
     tracker = ProductTracker(ws)
     for _ in range(300):
         e = g.sorted_edges[int(rng.integers(0, len(g.sorted_edges)))]
-        tracker.step(e)
+        tracker.advance([e])
         assert np.abs(tracker.P.sum(axis=1) - 1.0).max() <= 1e-12
         assert (tracker.P >= 0).all()
 
@@ -325,6 +328,18 @@ def test_periodic_and_explicit_streams(triangle):
     assert list(s.edge_list()) == period * 5 and len(s) == 20
     e = Schedule.explicit(triangle, [(2, 1), (3, 2)])
     assert list(e.edge_list()) == [(1, 2), (2, 3)] and len(e) == 2
+
+
+def test_explicit_schedule_is_its_edges_once():
+    rng = np.random.default_rng(1900)
+    for n in (3, 6):
+        g = random_connected_graph(rng, n, extra=2)
+        # spanning, spanning in the other orientation, and one edge short of a tree
+        for edges in (g.sorted_edges, [e[::-1] for e in g.sorted_edges], g.sorted_edges[:n - 2]):
+            a, b = Schedule.explicit(g, edges), Schedule.periodic(g, edges, 1)
+            assert list(a.edge_list()) == list(b.edge_list()) and len(a) == len(b) == len(edges)
+            spanning = len(edges) > n - 2  # n - 2 edges cannot connect n nodes
+            assert classify_schedule(a).spanning == classify_schedule(b).spanning == spanning
 
 
 def test_run_memory_does_not_grow_with_step_budget(balanced_float, triangle):
@@ -669,13 +684,13 @@ def test_min_entry_matches_mask_on_long_runs_with_zeros():
 
 
 def test_restore_refreshes_every_row_floor(balanced_float):
-    tracker = ProductTracker(balanced_float)
-    tracker.step((1, 2))
+    tracker = _stepped(balanced_float, (1, 2))
     assert tracker.min_entry() == 0.2
     snapshot = np.array([[0.5, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.25, 0.75]])
     tracker.restore(snapshot, 0)
     assert tracker.t == 0 and tracker.min_entry() == 0.25
-    assert tracker.step((2, 3)).min_entry() == _min_positive(tracker.P)
+    tracker.advance([(2, 3)])
+    assert tracker.min_entry() == _min_positive(tracker.P)
 
 
 def _tiny_weights(rng, g):
@@ -800,12 +815,14 @@ def test_untraced_run_without_spanning_period():
 
 
 def test_untraced_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
-    calls = []  # nor steps through numpy rows: the triangle's rows are float lists
-    for name in ("restore", "block", "step"):
+    calls, plain, kernel = [], [], engine._plain_step
+    for name in ("restore", "block"):
         monkeypatch.setattr(ProductTracker, name, lambda self, *a, name=name: calls.append(name))
+    # nor steps through numpy rows: the triangle's rows are float lists
+    monkeypatch.setattr(engine, "_plain_step", lambda *a: plain.append(1) or kernel(*a))
     report = run(balanced_float, Schedule.random(triangle, seed=5, steps=3456),
                  RunOptions(tol=0, trace=False))
-    assert report.steps == 3456 and not report.converged and not calls
+    assert report.steps == 3456 and not report.converged and not calls and len(plain) == 3456
     assert [row.t for row in report.trace] == list(range(100, 3401, 100)) + [3456]
 
 
@@ -827,6 +844,20 @@ def _stepped_both_ways(monkeypatch, ws, edges, steps):
         assert a.t == b.t == len(edges) and a.P.tobytes() == b.P.tobytes()
         out.append((a.P.tobytes(), rows, r.P.tobytes(), r.trace))
     return out
+
+
+@pytest.mark.parametrize("n", [PLAIN_ROWS_BELOW - 1, PLAIN_ROWS_BELOW])
+def test_advance_edge_by_edge_matches_one_call(n):
+    # float-list rows below PLAIN_ROWS_BELOW nodes, numpy rows from it on
+    rng = np.random.default_rng(1400 + n)
+    g = random_connected_graph(rng, n, extra=n)
+    ws = random_float_weights(rng, g)
+    edges = [g.sorted_edges[int(k)] for k in rng.integers(0, len(g.sorted_edges), 300)]
+    one, each = ProductTracker(ws), ProductTracker(ws)
+    one.advance(edges)
+    for e in edges:
+        each.advance([e])
+    assert one.t == each.t == len(edges) and one.P.tobytes() == each.P.tobytes()
 
 
 @pytest.mark.parametrize("n", range(2, PLAIN_ROWS_BELOW + 3))
@@ -873,9 +904,8 @@ def test_spanning_string_products_scramble():
         ws = random_float_weights(rng, g)
         tracker = ProductTracker(ws)
         for _ in range(max(1, n // 2)):
-            for idx in rng.permutation(len(g.sorted_edges)):
-                e = g.sorted_edges[int(idx)]
-                tracker.step(e)
+            tracker.advance([g.sorted_edges[int(idx)]
+                             for idx in rng.permutation(len(g.sorted_edges))])
         P = tracker.P
         assert is_scrambling(P)
         assert ergodicity_coefficient(P) <= 1 - float(P[P > 0].min()) + 1e-12

@@ -5,7 +5,8 @@ per-record loaders of ``hologossip.files`` and the ``build_graph`` and
 ``WeightSet`` validation loops as they were before the single-pass
 rewrite, with the two parsing fixes that came with it: every whitespace
 that the 'p/q' grammar admits is left out, and a part past Python's
-4300-digit conversion limit is a ``FileFormatError``. On every input, both
+4300-digit conversion limit is a ``FileFormatError``, whose message leaves out
+Python's advice to raise that limit. On every input, both
 must give an equal graph or weight set, or raise the same first error with
 the same message.
 """
@@ -40,7 +41,9 @@ def _parse_scalar(value, where):
             try:
                 return Fraction("".join(value.split()))
             except ValueError as exc:
-                raise errors.FileFormatError(f"{where}: not readable as a rational: {exc}") from exc
+                advice = "; use sys.set_int_max_str_digits() to increase the limit"
+                raise errors.FileFormatError(
+                    f"{where}: not readable as a rational: {str(exc).removesuffix(advice)}") from exc
         raise errors.FileFormatError(f"{where}: {value!r} is not a rational 'p/q' string")
     raise errors.FileFormatError(f"{where}: expected a number or 'p/q' string")
 
@@ -82,7 +85,7 @@ def _build_graph(n, edges):
         adj.setdefault(i, []).append(j)
         adj.setdefault(j, []).append(i)
     adj = {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-    reached = bfs_parents(1, lambda v: adj.get(v, ()))
+    reached = bfs_parents(1, adj)
     if len(reached) != n:
         missing = next(v for v in range(1, n + 1) if v not in reached)
         raise errors.DisconnectedGraph(f"node {missing} unreachable from node 1")

@@ -77,32 +77,35 @@ def test_tree_vector_agrees_with_limit_when_balanced():
             assert tree_vector(ws, t).entries == p.entries
 
 
+def _verified(ws, *entries) -> bool:
+    return verify_left_eigenvector(ws, ProbabilityVector(entries))
+
+
 def test_verify_left_eigenvector_worked(balanced):
-    assert verify_left_eigenvector(balanced, (F(1, 2), F(1, 3), F(1, 6)))
-    assert not verify_left_eigenvector(balanced, (F(1, 3), F(1, 3), F(1, 3)))
+    assert _verified(balanced, F(1, 2), F(1, 3), F(1, 6))
+    assert not _verified(balanced, F(1, 3), F(1, 3), F(1, 3))
     tiny = F(1, 10 ** 400)  # below every float: exact vectors are checked exactly
-    assert not verify_left_eigenvector(balanced, (F(1, 2) + tiny, F(1, 3), F(1, 6) - tiny))
+    assert not _verified(balanced, F(1, 2) + tiny, F(1, 3), F(1, 6) - tiny)
 
 
 def test_verify_left_eigenvector_two_node():
     g = build_graph(2, [(1, 2)])
     ws = WeightSet(g, {(1, 2): (F(1, 3), F(2, 3))})
-    assert verify_left_eigenvector(ws, (F(2, 3), F(1, 3)))
-    assert not verify_left_eigenvector(ws, (F(1, 2), F(1, 2)))
+    assert _verified(ws, F(2, 3), F(1, 3))
+    assert not _verified(ws, F(1, 2), F(1, 2))
 
 
 def test_verify_left_eigenvector_rejects_wrong_length(balanced):
     with pytest.raises(errors.NonInteriorVector):
-        verify_left_eigenvector(balanced, (F(1, 2), F(1, 2)))
+        _verified(balanced, F(1, 2), F(1, 2))
 
 
 def test_verify_left_eigenvector_float_tolerance(balanced_float):
-    p = (0.5, 1 / 3, 1 / 6)
-    assert verify_left_eigenvector(balanced_float, p)
+    assert _verified(balanced_float, 0.5, 1 / 3, 1 / 6)
     # moving d from node 3 to node 1 gives edge deviations 0.2d, 0 and 0.8d
-    assert verify_left_eigenvector(balanced_float, (0.5 + 1e-13, 1 / 3, 1 / 6 - 1e-13))
-    assert not verify_left_eigenvector(balanced_float, (0.5 + 1e-11, 1 / 3, 1 / 6 - 1e-11))
-    assert not verify_left_eigenvector(balanced_float, (0.45, 0.35, 0.20))
+    assert _verified(balanced_float, 0.5 + 1e-13, 1 / 3, 1 / 6 - 1e-13)
+    assert not _verified(balanced_float, 0.5 + 1e-11, 1 / 3, 1 / 6 - 1e-11)
+    assert not _verified(balanced_float, 0.45, 0.35, 0.20)
 
 
 def test_witness_trees_worked(unbalanced):

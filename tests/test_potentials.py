@@ -32,7 +32,7 @@ from conftest import uniform_weights
 def reference_limit(ws, base):
     """Potentials as walk products along each tree path from ``base``."""
     t = spanning_tree(ws.graph, root=base)
-    q = tuple(walk_ratio(ws, t.path(base, v)) for v in range(1, ws.graph.n + 1))
+    q = tuple(walk_ratio(ws, t.path(base, v).nodes) for v in range(1, ws.graph.n + 1))
     total = sum(q)
     return q, tuple(v / total for v in q)
 
@@ -40,7 +40,7 @@ def reference_limit(ws, base):
 def reference_check(ws):
     """(holonomic, witness nodes, witness ratio) from one walk per fundamental cycle."""
     for cycle in fundamental_cycles(ws.graph, spanning_tree(ws.graph, root=1)):
-        r = walk_ratio(ws, cycle)
+        r = walk_ratio(ws, cycle.nodes)
         if not (r == 1 if ws.exact else abs(r - 1.0) <= HOLONOMY_TOL):
             return False, cycle.nodes, r
     return True, None, None

@@ -1,4 +1,5 @@
-"""Every module-level function and class of the package has a caller in src.
+"""Every module-level function and class of the package, and every public
+method of its classes, has a caller in src.
 
 A name used only by tests (or only re-exported by ``__init__.py``) is public
 API that the library itself never exercises; it should be deleted or moved
@@ -6,6 +7,7 @@ into the tests.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hologossip"
@@ -16,21 +18,26 @@ ALLOWED = {
 }
 
 
-def _used_names(nodes) -> set:
-    """Identifiers read as plain names or as attributes anywhere under ``nodes``."""
-    used = set()
+def _src_trees() -> dict:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+
+
+def _used_names(nodes) -> Counter:
+    """How often each identifier is read, as a plain name or as an attribute,
+    anywhere under ``nodes``."""
+    used = Counter()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name):
-                used.add(sub.id)
+                used[sub.id] += 1
             elif isinstance(sub, ast.Attribute):
-                used.add(sub.attr)
+                used[sub.attr] += 1
     return used
 
 
 def test_every_public_def_has_a_src_caller():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+    trees = _src_trees()
     unused = []
     for module, tree in trees.items():
         elsewhere = _used_names(t for m, t in trees.items() if m != module)
@@ -40,6 +47,22 @@ def test_every_public_def_has_a_src_caller():
             here = _used_names(n for n in tree.body if n is not node)
             if node.name not in here | elsewhere and (module, node.name) not in ALLOWED:
                 unused.append(f"{module}.{node.name}")
+    assert unused == []
+
+
+def test_every_public_method_has_a_src_caller():
+    """A method, property or classmethod whose name starts without ``_`` is
+    read somewhere in src outside its own body (matched by name alone)."""
+    trees = _src_trees()
+    used = _used_names(trees.values())
+    unused = []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+                    continue
+                if used[fn.name] == _used_names([fn])[fn.name]:
+                    unused.append(f"{module}.{cls.name}.{fn.name}")
     assert unused == []
 
 
@@ -84,8 +107,7 @@ def _passes(call, name, position) -> bool:
 
 
 def test_every_defaulted_parameter_is_passed_by_src():
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(SRC.glob("*.py")) if p.stem != "__init__"}
+    trees = _src_trees()
     calls = {}
     for tree in trees.values():
         for node in ast.walk(tree):
