@@ -122,9 +122,8 @@ def cmd_design(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE
     text = files.weights_to_json(ws)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    if args.output is not None:
+        files.write_text(args.output, text)
         log.info("wrote weights for %d edges to %s", len(g.sorted_edges), args.output)
     else:
         sys.stdout.write(text)
@@ -136,9 +135,9 @@ def cmd_simulate(args) -> int:
     ws = files.load_weights(args.weights, g)
     if not 0 < args.tol <= 1:  # the identity's seminorm is 1: a larger tol stops at once
         raise FileFormatError(f"--tol must be in (0, 1], got {args.tol}")
-    if args.schedule and args.random_steps is not None:
+    if args.schedule is not None and args.random_steps is not None:
         raise FileFormatError("give either --schedule or --random-steps, not both")
-    if args.schedule:
+    if args.schedule is not None:
         schedule = files.load_schedule(args.schedule, g, seed_override=args.seed)
     elif args.random_steps is not None:
         if args.seed is None:
@@ -147,10 +146,10 @@ def cmd_simulate(args) -> int:
     else:
         raise FileFormatError("simulate needs --schedule or --random-steps")
 
-    report = run(ws, schedule, RunOptions(tol=args.tol, trace=bool(args.trace)))
-    if args.trace:
+    report = run(ws, schedule, RunOptions(tol=args.tol, trace=args.trace is not None))
+    if args.trace is not None:
         files.save_trace(report, args.trace)
-    if args.report:
+    if args.report is not None:
         files.save_report(report, args.report)
 
     print(f"p_hat: {_render_vector(report.p_hat)}")

@@ -16,8 +16,6 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import NonInteriorVector, ParameterOutOfRange, WeightOutOfRange
 from .graph import Graph
 from .weights import WeightSet, is_exact, ratio
@@ -71,6 +69,7 @@ def box_point(g: Graph, values) -> tuple:
 
 def sample_box_point(g: Graph, seed: int) -> tuple:
     """Seeded uniform draw in (BOX_MARGIN, 1 - BOX_MARGIN) per edge (PCG64 stream)."""
+    import numpy as np  # only here: the rest of design is exact or plain-float arithmetic
     if seed < 0:
         raise ParameterOutOfRange(f"seed must be >= 0, got {seed}")
     rng = np.random.Generator(np.random.PCG64(seed))

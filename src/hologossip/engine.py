@@ -37,19 +37,23 @@ fixed chunks of DRAW_CHUNK as the run consumes them, which gives the same
 stream as one draw of the whole step count (tested), so schedule memory
 does not depend on the step count. The engine always simulates in float64
 regardless of the weight kind.
+
+numpy is imported by the functions that compute with it: the closed-form
+commands import this module, never simulate, and so start without numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, NamedTuple, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .errors import GraphMismatch, InvalidSchedule, NotStochastic, UnknownEdge
 from .graph import Graph, UnionFind
 from .weights import EdgeWeights, WeightSet, entry_floor
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_TOL = 1e-10
 
@@ -135,6 +139,7 @@ class Schedule:
             for _ in range(self.repetitions):
                 yield from self.edges
         else:
+            import numpy as np
             rng = np.random.Generator(np.random.PCG64(self.seed))
             order = self.graph.sorted_edges
             for start in range(0, self.steps, DRAW_CHUNK):
@@ -196,6 +201,7 @@ def block_length(n: int) -> int:
 def _mix(edge, w: EdgeWeights) -> tuple:
     """One canonical edge's step coefficients: 0-based rows i < j, the columns
     c0 = [[1 - a_ij], [a_ji]] and c1 = [[a_ij], [1 - a_ji]], and their floats."""
+    import numpy as np
     i, j = edge
     a, b = float(w.a_ij), float(w.a_ji)
     p = (1.0 - a, a, b, 1.0 - b)
@@ -220,6 +226,7 @@ class ProductTracker:
     """
 
     def __init__(self, ws: WeightSet):
+        import numpy as np
         self.P = np.eye(ws.graph.n)
         self.t = 0
         self._mixes = {}
@@ -244,6 +251,7 @@ class ProductTracker:
         self.t += len(edges)
 
     def restore(self, snapshot: np.ndarray, t: int) -> None:
+        import numpy as np
         np.copyto(self.P, snapshot)
         self.t = t
 
@@ -266,6 +274,7 @@ class ProductTracker:
         bit. Floors are read from P on entry and carried across parts; gathered rows
         fill buffers made once per call, so malloc does not return and re-fault them.
         """
+        import numpy as np
         P, floors, out = self.P, _positive_floors(self.P), []
         n, K = len(P), block_length(len(P))
         fixed_buf, touched_buf = np.empty((n, n)), np.empty(K * min(2 * K, n) * n)
@@ -316,6 +325,7 @@ def _positive_floors(M: np.ndarray) -> np.ndarray:
     min gives the smallest positive entry, exactly. Every row sums to about
     1, so none is all zeros.
     """
+    import numpy as np
     bits = M.view(np.uint64) - np.uint64(1)
     return (bits.min(axis=-1) + np.uint64(1)).view(np.float64)
 
@@ -324,12 +334,14 @@ def _positive_floors(M: np.ndarray) -> np.ndarray:
 
 def seminorm(M) -> float:
     """Maximum column spread; zero exactly when all rows are equal."""
+    import numpy as np
     m = np.asarray(M, dtype=float)
     return float((m.max(axis=0) - m.min(axis=0)).max())
 
 
 def ergodicity_coefficient(M) -> float:
     """Half the maximum L1 distance between rows of a stochastic matrix."""
+    import numpy as np
     m = np.asarray(M, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotStochastic("matrix must be square")
@@ -342,6 +354,7 @@ def ergodicity_coefficient(M) -> float:
 
 def is_scrambling(M) -> bool:
     """True when no two rows have disjoint support."""
+    import numpy as np
     pos = np.asarray(M) > 0
     return all((pos[i:] & pos[i]).any(axis=1).all() for i in range(len(pos)))
 
@@ -411,6 +424,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     and records its last row, the first below ``tol`` or the segment's end.
     Every output equals that of a test after every step.
     """
+    import numpy as np
     if ws.graph != schedule.graph:
         raise GraphMismatch("weight set and schedule use different graphs")
     opts = opts or RunOptions()

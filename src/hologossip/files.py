@@ -193,12 +193,20 @@ def report_to_dict(report: RunReport) -> dict:
     }
 
 
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``. A path that cannot be written (a missing
+    directory, a directory, the empty path) is a FileFormatError, as an
+    unreadable one is in ``_load_json``."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise FileFormatError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def save_report(report: RunReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(report_to_dict(report), indent=2) + "\n")
 
 
 def save_trace(report: RunReport, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(trace_to_text(report))
+    write_text(path, trace_to_text(report))

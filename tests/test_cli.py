@@ -565,6 +565,44 @@ def test_cmd_simulate_config_errors(workdir, capsys):
     assert main(["simulate", g, w]) == 2
 
 
+@pytest.mark.parametrize("flags, error", [
+    (["--trace", "{tmp}/missing/t.tsv"], "{tmp}/missing/t.tsv: No such file or directory"),
+    (["--report", "{tmp}/missing/r.json"], "{tmp}/missing/r.json: No such file or directory"),
+    (["--trace", "{tmp}"], "{tmp}: Is a directory"),
+    (["--report", "{tmp}"], "{tmp}: Is a directory"),
+    (["--trace", ""], ": No such file or directory"),
+    (["--report", ""], ": No such file or directory"),
+])
+def test_cmd_simulate_unwritable_output_exits_2(workdir, capsys, flags, error):
+    tmp, write = workdir
+    g, w = write("g.json", TRIANGLE_GRAPH), write("w.json", BALANCED_RATIONAL)
+    argv = ["simulate", g, w, "--random-steps", "100", "--seed", "1", *flags]
+    assert main([a.format(tmp=tmp) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {error.format(tmp=tmp)}\n")
+
+
+@pytest.mark.parametrize("output, error", [
+    ("{tmp}/missing/w.json", "{tmp}/missing/w.json: No such file or directory"),
+    ("{tmp}", "{tmp}: Is a directory"),
+    ("", ": No such file or directory"),  # an empty path is a path, not stdout
+])
+def test_cmd_design_unwritable_output_exits_2(workdir, capsys, output, error):
+    tmp, write = workdir
+    g = write("g.json", TRIANGLE_GRAPH)
+    argv = ["design", g, "--target", "1/2,1/3,1/6", "--x", "1/2,1/2,1/2", "-o", output]
+    assert main([a.format(tmp=tmp) for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {error.format(tmp=tmp)}\n")
+
+
+def test_cmd_simulate_empty_schedule_path_is_a_path(workdir, capsys):
+    _, write = workdir
+    g, w = write("g.json", TRIANGLE_GRAPH), write("w.json", BALANCED_RATIONAL)
+    assert main(["simulate", g, w, "--schedule", "", "--random-steps", "10", "--seed", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: give either --schedule or --random-steps, not both\n")
+    assert main(["simulate", g, w, "--schedule", ""]) == 2
+    assert capsys.readouterr() == ("", "error: : No such file or directory\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "{g}", "{w}", "--random-steps", "-5", "--seed", "1"],
     ["simulate", "{g}", "{w}", "--random-steps", "100", "--seed", "-1"],
