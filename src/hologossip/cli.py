@@ -145,6 +145,9 @@ def cmd_simulate(args) -> int:
         schedule = Schedule.random(g, args.seed, args.random_steps)
     else:
         raise FileFormatError("simulate needs --schedule or --random-steps")
+    for path in (args.trace, args.report):  # an unwritable path exits 2 before the run
+        if path is not None:
+            files.write_text(path, "")
 
     report = run(ws, schedule, RunOptions(tol=args.tol, trace=args.trace is not None))
     if args.trace is not None:

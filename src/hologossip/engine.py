@@ -3,10 +3,12 @@
 A schedule is a finite sequence of edges: explicit, periodic, or drawn
 uniformly at random from the edge set with a seeded generator. Stepping an
 edge (i, j) left-multiplies the running product by that edge's local
-matrix, which only mixes rows i and j: an O(n) update, on Python float lists
-below PLAIN_ROWS_BELOW nodes, where a numpy call costs more than the
-arithmetic. The state from x0 is P @ x0. The smallest positive entry of P
-is the min of per-row floors (ProductTracker); every result is bit-identical.
+matrix, which only mixes rows i and j: an O(n) update. Below
+PLAIN_ROWS_BELOW nodes, where a numpy call costs more than the arithmetic,
+it runs on Python float lists, through a loop generated for each n on first
+use with the rows unpacked into locals (_row_kernel). The state from x0 is
+P @ x0. The smallest positive entry of P is the min of per-row floors
+(ProductTracker); every result is bit-identical.
 
 A run takes the O(n^2) seminorm of the product only where its value is
 read: at the recorded trace steps and the last step, the checkpoints of
@@ -44,6 +46,7 @@ commands import this module, never simulate, and so start without numpy.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
@@ -72,8 +75,10 @@ DENSE_RECORD_LIMIT = 1000
 SPARSE_RECORD_EVERY = 100
 
 #: Below this many nodes, ProductTracker.advance steps rows as Python float
-#: lists: a numpy call costs more than the O(n) arithmetic (runs broke even at 20).
-PLAIN_ROWS_BELOW = 20
+#: lists: a numpy call costs more than the O(n) arithmetic. On 100-step
+#: segments of the cycle, the generated kernel and numpy rows broke even at
+#: n = 35-36: 2.3 against 2.8 us/step at n = 32, 2.7 against 2.6 at n = 38.
+PLAIN_ROWS_BELOW = 32
 
 #: Largest rise of the computed seminorm that one step can cause through
 #: rounding, with u = 2**-53 the unit roundoff of float64. The exact update
@@ -167,15 +172,73 @@ def spanning_prefix(n: int, edges) -> Optional[int]:
     return 0 if uf.components == 1 else None
 
 
+class _EdgeWindow:
+    """Connectivity of a window of edges that grows at its newest end and
+    shrinks at its oldest. A union-find by size and without path compression
+    can undo its latest union; the stack keeps the window's edges in the
+    order their unions were made, and ``pop`` turns it into a queue (the
+    queue-undo trick): an amortized O(log L) unions undone and redone per
+    edge of a window over L edges."""
+
+    def __init__(self, n: int):
+        self.parent, self.size, self.components = list(range(n + 1)), [1] * (n + 1), n
+        self.stack, self.fronts = [], 0  # (edge, among the oldest, root it hung or None)
+
+    def _root(self, v: int) -> int:
+        while self.parent[v] != v:
+            v = self.parent[v]
+        return v
+
+    def push(self, edge, front: bool = False) -> None:
+        """Add ``edge`` as the newest, or, redone by ``pop``, as one of the oldest."""
+        a, b = self._root(edge[0]), self._root(edge[1])
+        if self.size[a] < self.size[b]:
+            a, b = b, a
+        if a != b:
+            self.parent[b] = a
+            self.size[a] += self.size[b]
+            self.components -= 1
+        self.stack.append((edge, front, b if a != b else None))
+
+    def _undo(self) -> tuple:
+        edge, front, b = self.stack.pop()
+        if b is not None:
+            a, self.parent[b] = self.parent[b], b
+            self.size[a] -= self.size[b]
+            self.components += 1
+        return edge, front
+
+    def pop(self) -> None:
+        """Drop the oldest edge of the window."""
+        if not self.fronts:  # undo every edge, then redo them newest first: oldest on top
+            newest_first = [self._undo()[0] for _ in range(len(self.stack))]
+            self.fronts = len(newest_first)
+            for e in newest_first:
+                self.push(e, True)
+        elif not self.stack[-1][1]:  # undo newer edges up to as many fronts; redo fronts last
+            backs, fronts = [], []
+            while not backs or len(fronts) < min(len(backs), self.fronts):
+                edge, front = self._undo()
+                (fronts if front else backs).append(edge)
+            for e in reversed(backs):
+                self.push(e)
+            for e in reversed(fronts):
+                self.push(e, True)
+        self._undo()
+        self.fronts -= 1
+
+
 def classify_schedule(s: Schedule) -> ScheduleClass:
     """Spanning test plus, for periodic schedules, the smallest window m
     such that every length-m window of the repeated period is spanning.
 
     A window of the repetition is a prefix of some rotation of the period,
-    so m is the largest, over the rotations, shortest spanning prefix: one
-    union-find pass per rotation, O(len(period)**2). A spanning period has
-    every rotation spanning within len(period) edges. Random schedules are
-    spanning with probability one and have no defined m.
+    so m is the largest, over the rotations o, shortest spanning prefix f(o).
+    Its end o + f(o) never decreases as o grows, so one two-pointer pass over
+    the doubled period finds every f(o), dropping the oldest edge of the
+    window as o moves on: O(L log L) unions for a period of length L. A
+    spanning period has every rotation spanning within L edges. Random
+    schedules are spanning with probability one and have no defined m.
     """
     n = s.graph.n
     if s.kind == "explicit":
@@ -185,7 +248,13 @@ def classify_schedule(s: Schedule) -> ScheduleClass:
     period = s.edges
     if spanning_prefix(n, period) is None:
         return ScheduleClass(spanning=False)
-    m = max(spanning_prefix(n, period[o:] + period[:o]) for o in range(len(period)))
+    doubled, window, end, m = period * 2, _EdgeWindow(n), 0, 0
+    for o in range(len(period)):
+        while window.components > 1:
+            window.push(doubled[end])
+            end += 1
+        m = max(m, end - o)
+        window.pop()
     return ScheduleClass(spanning=True, m_spanning=m)
 
 
@@ -208,10 +277,23 @@ def _mix(edge, w: EdgeWeights) -> tuple:
     return i - 1, j - 1, np.array([[p[0]], [p[2]]]), np.array([[p[1]], [p[3]]]), p
 
 
-def _plain_step(u: list, w: list, p0, p1, q0, q1) -> tuple:
-    """Rows i and j after one step, as float lists. p0*x + p1*y rounds twice,
-    as c0 * P[i] + c1 * P[j] does in numpy, so both give the same bits."""
-    return [p0 * x + p1 * y for x, y in zip(u, w)], [q0 * x + q1 * y for x, y in zip(u, w)]
+@functools.cache  # one per n below PLAIN_ROWS_BELOW, made by the first advance on n nodes
+def _row_kernel(n: int):
+    """``advance``'s edge loop on the float-list rows R of n nodes, unrolled:
+    rows i and j are unpacked into locals a0.. and b0.., and the new rows are
+    list displays of p0 * a_k + p1 * b_k and q0 * a_k + q1 * b_k. Each entry
+    rounds twice, as c0 * P[i] + c1 * P[j] does in numpy, so both give the
+    same bits. The source is made from integers alone."""
+    a, b = (", ".join(f"{x}{k}" for k in range(n)) for x in "ab")
+    p, q = (", ".join(f"{c}0 * a{k} + {c}1 * b{k}" for k in range(n)) for c in "pq")
+    namespace = {}
+    exec(f"def kernel(R, mixes, edges):\n"
+         f"    for i, j, _, _, (p0, p1, q0, q1) in map(mixes.__getitem__, edges):\n"
+         f"        {a}, = R[i]\n"
+         f"        {b}, = R[j]\n"
+         f"        R[i] = [{p}]\n"
+         f"        R[j] = [{q}]\n", namespace)
+    return namespace["kernel"]
 
 
 class ProductTracker:
@@ -221,8 +303,9 @@ class ProductTracker:
     under both orientations. ``advance(edges)`` replaces rows i and j, edge
     by edge, with the rows of c0 * P[i] + c1 * P[j]; each entry is
     fl(fl(c x) + fl(c' y)), as in two separate row updates, in numpy or, below
-    PLAIN_ROWS_BELOW nodes, on float lists. ``min_entry`` is the min of one
-    positive-entry floor per row, taken from P when read.
+    PLAIN_ROWS_BELOW nodes, on float lists through ``_row_kernel``.
+    ``min_entry`` is the min of one positive-entry floor per row, taken from
+    P when read.
     """
 
     def __init__(self, ws: WeightSet):
@@ -244,9 +327,7 @@ class ProductTracker:
                 P[j] = S[1]
         else:
             R = P.tolist()
-            for edge in edges:
-                i, j, _, _, p = self._mixes[edge]
-                R[i], R[j] = _plain_step(R[i], R[j], *p)
+            _row_kernel(len(P))(R, self._mixes, edges)
             P[:] = R
         self.t += len(edges)
 

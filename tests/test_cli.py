@@ -572,13 +572,20 @@ def test_cmd_simulate_config_errors(workdir, capsys):
     (["--report", "{tmp}"], "{tmp}: Is a directory"),
     (["--trace", ""], ": No such file or directory"),
     (["--report", ""], ": No such file or directory"),
+    (["--trace", "{tmp}/t.tsv", "--report", "{tmp}/missing/r.json"],
+     "{tmp}/missing/r.json: No such file or directory"),
 ])
-def test_cmd_simulate_unwritable_output_exits_2(workdir, capsys, flags, error):
+def test_cmd_simulate_unwritable_output_exits_2(workdir, capsys, monkeypatch, flags, error):
     tmp, write = workdir
     g, w = write("g.json", TRIANGLE_GRAPH), write("w.json", BALANCED_RATIONAL)
+    runs = []
+    monkeypatch.setattr(cli, "run", lambda *a: runs.append(a))
     argv = ["simulate", g, w, "--random-steps", "100", "--seed", "1", *flags]
     assert main([a.format(tmp=tmp) for a in argv]) == 2
     assert capsys.readouterr() == ("", f"error: {error.format(tmp=tmp)}\n")
+    assert runs == []  # refused before the run
+    if "{tmp}/t.tsv" in flags:  # the writable trace path was opened first, and is left empty
+        assert (tmp / "t.tsv").read_text() == ""
 
 
 @pytest.mark.parametrize("output, error", [

@@ -231,6 +231,40 @@ def test_classify_window_matches_tripled_period_scan():
     assert spanning >= 250
 
 
+def _rotation_window(n, period):
+    """The loop ``classify_schedule`` ran before its two-pointer pass, kept as the
+    reference: the largest, over the rotations, shortest spanning prefix."""
+    if engine.spanning_prefix(n, period) is None:
+        return None
+    return max(engine.spanning_prefix(n, period[o:] + period[:o]) for o in range(len(period)))
+
+
+def test_classify_window_matches_rotation_scan():
+    rng = np.random.default_rng(2201)
+    seen = set()
+    for k in range(1500):
+        n = 2 + int(rng.integers(0, 8))
+        g = random_connected_graph(rng, n, extra=int(rng.integers(0, n)))
+        edges = g.sorted_edges
+        period = [edges[int(i)] for i in rng.integers(0, len(edges), int(rng.integers(1, 8 * n)))]
+        if k % 3 == 0:  # every edge at least once, so the period spans
+            period += [edges[int(i)] for i in rng.permutation(len(edges))]
+        period = tuple(period)
+        info = classify_schedule(Schedule.periodic(g, period, 1))
+        assert info.m_spanning == _rotation_window(n, period)
+        assert info.spanning == (info.m_spanning is not None)
+        seen.add((n == 2, info.spanning, len(set(period)) < len(period)))
+    # with and without repeated edges, at n = 2 (whose one edge always spans) and
+    # at larger n, spanning or not
+    assert seen == {(two, spans, repeats) for two in (True, False) for spans in (True, False)
+                    for repeats in (True, False) if spans or not two}
+    # on a path every edge is a bridge: one that appears once puts every window at L
+    path = build_graph(5, [(v, v + 1) for v in range(1, 5)])
+    period = ((1, 2), (2, 3), (3, 4), (2, 3), (4, 5), (1, 2), (3, 4))
+    assert classify_schedule(Schedule.periodic(path, period, 3)).m_spanning == len(period)
+    assert _rotation_window(5, period) == len(period)
+
+
 def test_run_two_node_closed_form():
     g = build_graph(2, [(1, 2)])
     ws = WeightSet(g, {(1, 2): (F(1, 3), F(2, 3))})
@@ -814,15 +848,28 @@ def test_untraced_run_without_spanning_period():
         assert _assert_untraced_matches(ws, schedule, tol) == len(schedule)
 
 
+def _counted_kernel_steps(monkeypatch) -> list:
+    """Patch the kernel factory so that every kernel it hands out appends the
+    number of edges it steps to the returned list."""
+    steps, factory = [], engine._row_kernel
+
+    def counted(n):
+        kernel = factory(n)
+        return lambda R, mixes, edges: steps.append(len(edges)) or kernel(R, mixes, edges)
+
+    monkeypatch.setattr(engine, "_row_kernel", counted)
+    return steps
+
+
 def test_untraced_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
-    calls, plain, kernel = [], [], engine._plain_step
+    calls = []
     for name in ("restore", "block"):
         monkeypatch.setattr(ProductTracker, name, lambda self, *a, name=name: calls.append(name))
     # nor steps through numpy rows: the triangle's rows are float lists
-    monkeypatch.setattr(engine, "_plain_step", lambda *a: plain.append(1) or kernel(*a))
+    plain = _counted_kernel_steps(monkeypatch)
     report = run(balanced_float, Schedule.random(triangle, seed=5, steps=3456),
                  RunOptions(tol=0, trace=False))
-    assert report.steps == 3456 and not report.converged and not calls and len(plain) == 3456
+    assert report.steps == 3456 and not report.converged and not calls and sum(plain) == 3456
     assert [row.t for row in report.trace] == list(range(100, 3401, 100)) + [3456]
 
 
@@ -831,15 +878,14 @@ def test_untraced_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
 def _stepped_both_ways(monkeypatch, ws, edges, steps):
     """advance, block and a traced run of ``steps`` random edges, with the
     rows of ``advance`` forced to numpy arrays and then to float lists."""
-    out, kernel = [], engine._plain_step
+    out = []
     for limit in (0, 10**9):
         monkeypatch.setattr(engine, "PLAIN_ROWS_BELOW", limit)
-        calls = []
-        monkeypatch.setattr(engine, "_plain_step", lambda *a: calls.append(1) or kernel(*a))
+        calls = _counted_kernel_steps(monkeypatch)
         a, b = ProductTracker(ws), ProductTracker(ws)
         a.advance(edges)
         rows = b.block(edges, 0.0)
-        assert len(calls) == (len(edges) if limit else 0)  # advance took the forced path
+        assert sum(calls) == (len(edges) if limit else 0)  # advance took the forced path
         r = run(ws, Schedule.random(ws.graph, seed=len(edges), steps=steps), RunOptions(tol=0))
         assert a.t == b.t == len(edges) and a.P.tobytes() == b.P.tobytes()
         out.append((a.P.tobytes(), rows, r.P.tobytes(), r.trace))

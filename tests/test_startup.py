@@ -3,8 +3,9 @@
 The other CLI tests call ``cli.main`` inside the pytest process, where numpy
 is already loaded, so they cannot see what start-up imports. These cases run
 each command in a new interpreter with the package on ``PYTHONPATH``: the
-closed-form commands and the errors found before a run must not load numpy,
-while every module the benchmark's tracer patches is still loaded.
+closed-form commands and the errors found before a run must not load numpy
+or generate a row kernel, while every module the benchmark's tracer patches
+is still loaded.
 """
 
 import importlib.util
@@ -22,9 +23,11 @@ from hologossip.cli import main
 SRC = str(Path(hologossip.__file__).resolve().parent.parent)
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
-#: Runs ``cli.main`` on argv, then prints the exit code and the loaded modules as the last line.
+#: Runs ``cli.main`` on argv, then prints the exit code, the loaded modules and
+#: the number of generated row kernels as the last line.
 CHILD = ("import json, sys, hologossip.cli as c; code = c.main(sys.argv[1:]); "
-         "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))")
+         "kernels = sys.modules['hologossip.engine']._row_kernel.cache_info().currsize; "
+         "print(json.dumps({'code': code, 'modules': sorted(sys.modules), 'kernels': kernels}))")
 
 GRAPH = {"n": 3, "edges": [[1, 2], [2, 3], [1, 3]]}
 WEIGHTS = [
@@ -43,7 +46,8 @@ def paths(tmp_path):
 
 
 def _fresh(argv, cwd) -> tuple:
-    """(exit code, stdout without the last line, loaded module names) of argv in a new interpreter."""
+    """(exit code, stdout without the last line, loaded module names, generated
+    row kernels) of argv in a new interpreter."""
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("HOLOGOSSIP_LOG", None)
     proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=cwd, env=env,
@@ -51,7 +55,7 @@ def _fresh(argv, cwd) -> tuple:
     assert proc.returncode == 0, proc.stderr
     out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
     status = json.loads(last)
-    return status["code"], out + "\n" if out else "", set(status["modules"])
+    return status["code"], out + "\n" if out else "", set(status["modules"]), status["kernels"]
 
 
 def _traced_modules() -> set:
@@ -69,13 +73,15 @@ def _traced_modules() -> set:
     (["design", "{g}", *TARGET, "--x", "3/10,3/5,1/2", "-o", "{tmp}/out.json"], 0),
     (["limit", "{g}", "{w}", "--base", "9"], 2),
     (["simulate", "{g}", "{w}", "--random-steps", "0", "--seed", "1"], 2),
+    (["simulate", "{g}", "{w}", "--random-steps", "150000", "--seed", "1",
+      "--trace", "{tmp}/missing/t.tsv"], 2),
     (["design", "{g}", *TARGET, "--x", "1/2,1/2,1/2", "-o", ""], 2),
 ])
 def test_closed_form_commands_start_without_numpy(paths, argv, code):
     g, w, tmp = paths
-    got, _, modules = _fresh([a.format(g=g, w=w, tmp=tmp) for a in argv], tmp)
+    got, _, modules, kernels = _fresh([a.format(g=g, w=w, tmp=tmp) for a in argv], tmp)
     assert got == code
-    assert "numpy" not in modules
+    assert "numpy" not in modules and kernels == 0
     assert _traced_modules() <= modules
 
 
@@ -88,6 +94,7 @@ def test_closed_form_commands_start_without_numpy(paths, argv, code):
 def test_numeric_commands_load_numpy_and_print_as_in_process(paths, capsys, argv):
     g, w, tmp = paths
     argv = [a.format(g=g, w=w) for a in argv]
-    code, out, modules = _fresh(argv, tmp)
+    code, out, modules, kernels = _fresh(argv, tmp)
     assert "numpy" in modules
+    assert (kernels > 0) == (argv[0] != "design")  # simulate and verify step float-list rows
     assert (code, out) == (main(argv), capsys.readouterr().out)
