@@ -3,12 +3,12 @@
 A schedule is a finite sequence of edges: explicit, periodic, or drawn
 uniformly at random from the edge set with a seeded generator. Stepping an
 edge (i, j) left-multiplies the running product by that edge's local
-matrix, which only mixes rows i and j: an O(n) update. Below
-PLAIN_ROWS_BELOW nodes, where a numpy call costs more than the arithmetic,
-it runs on Python float lists, through a loop generated for each n on first
-use with the rows unpacked into locals (_row_kernel). The state from x0 is
-P @ x0. The smallest positive entry of P is the min of per-row floors
-(ProductTracker); every result is bit-identical.
+matrix, which only mixes rows i and j: an O(n) update. On small graphs
+(PLAIN_ROWS_BELOW, PLAIN_BLOCK_BELOW), where a numpy call costs more than
+the arithmetic, it runs on Python float lists, through a loop generated for
+each n on first use with the rows unpacked into locals (_row_kernel). The
+state from x0 is P @ x0. The smallest positive entry of P is the min of
+per-row floors (ProductTracker); every result is bit-identical.
 
 A run takes the O(n^2) seminorm of the product only where its value is
 read: at the recorded trace steps and the last step, the checkpoints of
@@ -79,6 +79,9 @@ SPARSE_RECORD_EVERY = 100
 #: segments of the cycle, the generated kernel and numpy rows broke even at
 #: n = 35-36: 2.3 against 2.8 us/step at n = 32, 2.7 against 2.6 at n = 38.
 PLAIN_ROWS_BELOW = 32
+#: ... and below this many, ProductTracker.block: converting its new rows, about
+#: 20 ns a float, broke even with numpy rows at n = 20-22 on 1,000 random edges.
+PLAIN_BLOCK_BELOW = 20
 
 #: Largest rise of the computed seminorm that one step can cause through
 #: rounding, with u = 2**-53 the unit roundoff of float64. The exact update
@@ -277,22 +280,24 @@ def _mix(edge, w: EdgeWeights) -> tuple:
     return i - 1, j - 1, np.array([[p[0]], [p[2]]]), np.array([[p[1]], [p[3]]]), p
 
 
-@functools.cache  # one per n below PLAIN_ROWS_BELOW, made by the first advance on n nodes
-def _row_kernel(n: int):
+@functools.cache  # made by the first advance or block on n nodes, never at import
+def _row_kernel(n: int, versions: bool):
     """``advance``'s edge loop on the float-list rows R of n nodes, unrolled:
     rows i and j are unpacked into locals a0.. and b0.., and the new rows are
     list displays of p0 * a_k + p1 * b_k and q0 * a_k + q1 * b_k. Each entry
     rounds twice, as c0 * P[i] + c1 * P[j] does in numpy, so both give the
-    same bits. The source is made from integers alone."""
+    same bits. With ``versions`` (for block), ``push`` takes each new row, row
+    i then row j. The source is made from integers alone."""
     a, b = (", ".join(f"{x}{k}" for k in range(n)) for x in "ab")
     p, q = (", ".join(f"{c}0 * a{k} + {c}1 * b{k}" for k in range(n)) for c in "pq")
     namespace = {}
-    exec(f"def kernel(R, mixes, edges):\n"
+    exec(f"def kernel(R, mixes, edges{', push' if versions else ''}):\n"
          f"    for i, j, _, _, (p0, p1, q0, q1) in map(mixes.__getitem__, edges):\n"
          f"        {a}, = R[i]\n"
          f"        {b}, = R[j]\n"
-         f"        R[i] = [{p}]\n"
-         f"        R[j] = [{q}]\n", namespace)
+         f"        R[i] = u = [{p}]\n"
+         f"        R[j] = v = [{q}]\n"
+         + ("        push(u)\n        push(v)\n" if versions else ""), namespace)
     return namespace["kernel"]
 
 
@@ -327,7 +332,7 @@ class ProductTracker:
                 P[j] = S[1]
         else:
             R = P.tolist()
-            _row_kernel(len(P))(R, self._mixes, edges)
+            _row_kernel(len(P), False)(R, self._mixes, edges)
             P[:] = R
         self.t += len(edges)
 
@@ -345,31 +350,42 @@ class ProductTracker:
         whose seminorm is below ``tol``. The tracker keeps those steps.
 
         Each part runs on a table of versions of the rows it touches: each
-        row's value before the part, then the two rows each step writes.
-        Gathering the versions current after each step gives the touched
-        rows of every step's product, and gathering their floors gives the
-        touched rows' part of every ``min_entry``. One pass over the other
-        rows, which no step of the part changes, completes the column maxima
-        and minima and the floor. Max and min are exact, so every value
-        equals the reduction of the whole product after that step, bit for
-        bit. Floors are read from P on entry and carried across parts; gathered rows
-        fill buffers made once per call, so malloc does not return and re-fault them.
+        row's value before the part, then the two rows each step writes, made
+        by ``_row_kernel`` below PLAIN_BLOCK_BELOW nodes. Gathering the
+        versions current after each step gives the touched rows of every
+        step's product, and gathering their floors gives the touched rows'
+        part of every ``min_entry``. One pass over the other rows, which no
+        step of the part changes, completes the column maxima and minima and
+        the floor. Max and min are exact, so every value equals the reduction of
+        the whole product after that step, bit for bit. Floors are read from
+        P on entry and carried across parts; gathered rows fill buffers made
+        once per call, so malloc does not return and re-fault them.
         """
+        from array import array
         import numpy as np
         P, floors, out = self.P, _positive_floors(self.P), []
         n, K = len(P), block_length(len(P))
         fixed_buf, touched_buf = np.empty((n, n)), np.empty(K * min(2 * K, n) * n)
+        plain = n < PLAIN_BLOCK_BELOW
+        if plain:
+            R, kernel = P.tolist(), _row_kernel(n, True)
         for start in range(0, len(edges), K):
             part = edges[start:start + K]
             steps = [self._mixes[e] for e in part]
             rows = sorted({r for i, j, *_ in steps for r in (i, j)})
             local = {r: k for k, r in enumerate(rows)}
-            versions = np.empty((len(rows) + 2 * len(steps), P.shape[1]))
-            versions[:len(rows)] = P[rows]
+            if plain:
+                table = array("d")  # the two new rows of every step, in order
+                kernel(R, self._mixes, part, table.fromlist)
+                versions = np.concatenate((P[rows], np.frombuffer(table).reshape(-1, n)))
+            else:
+                versions = np.empty((len(rows) + 2 * len(steps), P.shape[1]))
+                versions[:len(rows)] = P[rows]
             latest, current = list(range(len(rows))), []
             for v, (i, j, c0, c1, _) in zip(range(len(rows), len(versions), 2), steps):
                 li, lj = local[i], local[j]
-                np.add(c0 * versions[latest[li]], c1 * versions[latest[lj]], out=versions[v:v + 2])
+                if not plain:
+                    np.add(c0 * versions[latest[li]], c1 * versions[latest[lj]], out=versions[v:v + 2])
                 latest[li], latest[lj] = v, v + 1
                 current += latest
             current = np.array(current).reshape(len(steps), len(rows))  # -> version

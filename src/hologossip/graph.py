@@ -56,6 +56,11 @@ class Graph:
             adj.setdefault(j, []).append(i)
         return {v: tuple(nbrs) for v, nbrs in adj.items()}
 
+    @cached_property
+    def parents_from_1(self) -> dict:
+        """``bfs_parents`` from node 1: build_graph's BFS, kept for spanning_tree."""
+        return bfs_parents(1, self.adjacency)
+
     def has_edge(self, i: int, j: int) -> bool:
         return normalize_edge(i, j) in self.edges
 
@@ -90,7 +95,7 @@ def build_graph(n: int, edges: Iterable) -> Graph:
             raise DuplicateEdge(f"edge ({e[0]},{e[1]}) given more than once")
         seen.add(e)
     g = Graph(n=n, edges=frozenset(seen))
-    reached = bfs_parents(1, g.adjacency)
+    reached = g.parents_from_1
     if len(reached) != n:
         missing = next(v for v in range(1, n + 1) if v not in reached)
         raise DisconnectedGraph(f"node {missing} unreachable from node 1")
@@ -162,7 +167,7 @@ def spanning_tree(g: Graph, root: int = 1) -> SpanningTree:
     """
     if not (1 <= root <= g.n):
         raise InvalidNode(f"root {root} outside 1..{g.n}")
-    parent = bfs_parents(root, g.adjacency)
+    parent = g.parents_from_1 if root == 1 else bfs_parents(root, g.adjacency)
     edges = frozenset(normalize_edge(v, p) for v, p in parent.items() if p is not None)
     return SpanningTree(root=root, parent=parent, edges=edges)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hologossip import cli, errors, files
+from hologossip import cli, errors, files, graph
 from hologossip.acceptance import random_connected_graph
 from hologossip.cli import build_parser, main
 from hologossip.engine import RunOptions, Schedule, run
@@ -294,6 +294,25 @@ def test_cmd_limit_witness_cycle_is_from_base_tree(workdir, capsys):
     assert main(["limit", g, w, "--base", "2"]) == 1
     assert capsys.readouterr().err.startswith(
         "error: weights are not cycle-balanced: cycle 1→2→3→1 has ratio 2.0\n")
+
+
+def test_check_and_limit_run_one_bfs_from_node_1(workdir, capsys, monkeypatch):
+    # build_graph's BFS from node 1 is kept for the check pass's tree; with a
+    # fresh BFS at every read instead, every output is the same
+    _, write = workdir
+    g = write("g.json", TRIANGLE_GRAPH)
+    runs = [[cmd, g, write(f"{name}.json", ws)] for cmd in ("check", "limit")
+            for name, ws in (("w", BALANCED_RATIONAL), ("u", UNBALANCED_FLOAT))]
+    roots, bfs = [], graph.bfs_parents
+    monkeypatch.setattr(graph, "bfs_parents", lambda root, adj: roots.append(root) or bfs(root, adj))
+    outputs = []
+    for argv in runs:
+        roots.clear()
+        outputs.append((main(argv), capsys.readouterr()))
+        assert roots == [1]
+    monkeypatch.setattr(graph.Graph, "parents_from_1", property(lambda g: bfs(1, g.adjacency)))
+    assert [(main(argv), capsys.readouterr()) for argv in runs] == outputs
+    assert [code for code, _ in outputs] == [0, 1, 0, 1]
 
 
 def test_cmd_limit_standard_gossip(workdir, capsys):

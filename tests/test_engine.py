@@ -15,6 +15,7 @@ from hologossip.engine import (
     DENSE_RECORD_LIMIT,
     DRAW_CHUNK,
     LEDGER_RESOLUTION,
+    PLAIN_BLOCK_BELOW,
     PLAIN_ROWS_BELOW,
     RISE,
     SPARSE_RECORD_EVERY,
@@ -848,14 +849,19 @@ def test_untraced_run_without_spanning_period():
         assert _assert_untraced_matches(ws, schedule, tol) == len(schedule)
 
 
-def _counted_kernel_steps(monkeypatch) -> list:
-    """Patch the kernel factory so that every kernel it hands out appends the
-    number of edges it steps to the returned list."""
-    steps, factory = [], engine._row_kernel
+def _counted_kernel_steps(monkeypatch) -> dict:
+    """Patch the kernel factory so that every kernel it hands out adds the number
+    of edges it steps to the returned counts: under "block" for the kernels that
+    also record versions, under "advance" for the others."""
+    steps, factory = {"advance": 0, "block": 0}, engine._row_kernel
 
-    def counted(n):
-        kernel = factory(n)
-        return lambda R, mixes, edges: steps.append(len(edges)) or kernel(R, mixes, edges)
+    def counted(n, versions):
+        kernel, kind = factory(n, versions), "block" if versions else "advance"
+
+        def stepped(R, mixes, edges, *push):
+            steps[kind] += len(edges)
+            return kernel(R, mixes, edges, *push)
+        return stepped
 
     monkeypatch.setattr(engine, "_row_kernel", counted)
     return steps
@@ -869,7 +875,8 @@ def test_untraced_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
     plain = _counted_kernel_steps(monkeypatch)
     report = run(balanced_float, Schedule.random(triangle, seed=5, steps=3456),
                  RunOptions(tol=0, trace=False))
-    assert report.steps == 3456 and not report.converged and not calls and sum(plain) == 3456
+    assert report.steps == 3456 and not report.converged and not calls
+    assert plain == {"advance": 3456, "block": 0}
     assert [row.t for row in report.trace] == list(range(100, 3401, 100)) + [3456]
 
 
@@ -877,15 +884,17 @@ def test_untraced_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
 
 def _stepped_both_ways(monkeypatch, ws, edges, steps):
     """advance, block and a traced run of ``steps`` random edges, with the
-    rows of ``advance`` forced to numpy arrays and then to float lists."""
+    rows of ``advance`` and ``block`` forced to numpy arrays and then to float lists."""
     out = []
     for limit in (0, 10**9):
         monkeypatch.setattr(engine, "PLAIN_ROWS_BELOW", limit)
+        monkeypatch.setattr(engine, "PLAIN_BLOCK_BELOW", limit)
         calls = _counted_kernel_steps(monkeypatch)
         a, b = ProductTracker(ws), ProductTracker(ws)
         a.advance(edges)
         rows = b.block(edges, 0.0)
-        assert sum(calls) == (len(edges) if limit else 0)  # advance took the forced path
+        forced = len(edges) if limit else 0  # each call took the forced path
+        assert calls == {"advance": forced, "block": forced}
         r = run(ws, Schedule.random(ws.graph, seed=len(edges), steps=steps), RunOptions(tol=0))
         assert a.t == b.t == len(edges) and a.P.tobytes() == b.P.tobytes()
         out.append((a.P.tobytes(), rows, r.P.tobytes(), r.trace))
@@ -929,6 +938,67 @@ def test_plain_rows_match_numpy_rows(monkeypatch, n):
             assert (P[:, -1] == 0).sum() == n - 1
         subnormal |= any(0 < row[3] < np.finfo(float).tiny for row in plain_rows[1])
     assert subnormal or n <= 4  # the tiny weights go subnormal in products from n = 5 on
+
+
+def _edges_with_stops(ws, order, rng, warm, offsets, length):
+    """``length`` random edges over ``order`` to step after the ``warm`` ones,
+    and the tols that stop a block call over them at ``offsets``: at each of
+    those the edge is the first of ``order`` that takes the seminorm below every
+    earlier step of the call, where one does (never on a disconnected path)."""
+    pairs = dict(ws.to_float().items())
+
+    def step(P, e):
+        (a, b), i, j = pairs[e], e[0] - 1, e[1] - 1
+        P[i], P[j] = (1.0 - a) * P[i] + a * P[j], b * P[i] + (1.0 - b) * P[j]
+        return P
+
+    P, low, edges, tols = np.eye(ws.graph.n), np.inf, [], {}
+    for e in warm:
+        step(P, e)
+    for k in range(length):
+        chosen = next((e for e in order if seminorm(step(P.copy(), e)) < low), None) if k in offsets else None
+        e = chosen or order[int(rng.integers(0, len(order)))]
+        s = seminorm(step(P, e))
+        if chosen:
+            tols[k] = float(np.nextafter(s, np.inf))
+        low = min(low, s)
+        edges.append(e[::-1] if rng.random() < 0.5 else e)
+    return edges, tols
+
+
+@pytest.mark.parametrize("n", range(2, PLAIN_BLOCK_BELOW + 3))
+def test_plain_block_matches_numpy_block(monkeypatch, n):
+    # stops at part offsets 0, 1, K - 1, K, mid-part and the last edge, after a
+    # warm-up that leaves the seminorm below 1, with weights in (0.001, 0.01) so
+    # that it is still far above rounding at the last edge; zeros on the path
+    # without its last edge, subnormal entries from the tiny weights
+    K = block_length(n)
+    offsets = {0, 1, K - 1, K, K + K // 2, 2 * K + 1}
+    rng = np.random.default_rng(1700 + n)
+    g = random_connected_graph(rng, n, extra=n % 3)
+    path = build_graph(n, [(v, v + 1) for v in range(1, n)])
+    subnormal = False
+    for ws, order, every_stop in ((uniform_weights(rng, g, 0.001, 0.01), g.sorted_edges, True),
+                                  (random_float_weights(rng, path),
+                                   path.sorted_edges[:-1] or path.sorted_edges, False),
+                                  (_tiny_weights(rng, g), g.sorted_edges, False)):
+        warm = [order[int(k)] for k in rng.integers(0, len(order), 30 * n)]
+        edges, tols = _edges_with_stops(ws, order, rng, warm, offsets, 2 * K + 2)
+        assert set(tols) == offsets if every_stop else 0 in tols
+        for tol, stop in [(0.0, len(edges) - 1)] + [(tol, k) for k, tol in tols.items()]:
+            got = []
+            for limit in (0, 10**9):
+                monkeypatch.setattr(engine, "PLAIN_BLOCK_BELOW", limit)
+                tracker = ProductTracker(ws)
+                tracker.advance(warm)
+                rows = tracker.block(edges, tol)
+                got.append((rows, tracker.t, tracker.P.tobytes(), tracker.min_entry()))
+            assert got[0] == got[1]
+            assert len(rows) == stop + 1 and tracker.t == len(warm) + stop + 1
+            subnormal |= any(0 < row[3] < np.finfo(float).tiny for row in rows)
+        if ws.graph is path and n > 2:
+            assert (tracker.P[:, -1] == 0).sum() == n - 1
+    assert subnormal or n <= 6  # the tiny weights go subnormal in these rows from n = 7 on
 
 
 def test_contraction_inequality_random_products():

@@ -88,13 +88,15 @@ def test_closed_form_commands_start_without_numpy(paths, argv, code):
 @pytest.mark.parametrize("argv", [
     ["simulate", "{g}", "{w}", "--random-steps", "500", "--seed", "3"],
     ["simulate", "{g}", "{w}", "--random-steps", "3", "--seed", "7"],
+    ["simulate", "{g}", "{w}", "--random-steps", "1234", "--seed", "7", "--trace", "{tmp}/t.tsv"],
     ["design", "{g}", *TARGET, "--seed", "5"],
     ["verify", "--criteria", "10"],
 ])
 def test_numeric_commands_load_numpy_and_print_as_in_process(paths, capsys, argv):
     g, w, tmp = paths
-    argv = [a.format(g=g, w=w) for a in argv]
+    argv = [a.format(g=g, w=w, tmp=tmp) for a in argv]
     code, out, modules, kernels = _fresh(argv, tmp)
     assert "numpy" in modules
-    assert (kernels > 0) == (argv[0] != "design")  # simulate and verify step float-list rows
+    # simulate and verify step float-list rows, through advance or block
+    assert (kernels > 0) == (argv[0] != "design")
     assert (code, out) == (main(argv), capsys.readouterr().out)
