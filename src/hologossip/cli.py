@@ -139,6 +139,8 @@ def cmd_simulate(args) -> int:
         raise FileFormatError("give either --schedule or --random-steps, not both")
     if args.schedule is not None:
         schedule = files.load_schedule(args.schedule, g, seed_override=args.seed)
+        if args.seed is not None and schedule.kind != "random":
+            raise FileFormatError("--seed applies only to random schedules")
     elif args.random_steps is not None:
         if args.seed is None:
             raise FileFormatError("--random-steps needs --seed (no silent entropy)")

@@ -6,9 +6,12 @@ edge (i, j) left-multiplies the running product by that edge's local
 matrix, which only mixes rows i and j: an O(n) update. On small graphs
 (PLAIN_ROWS_BELOW, PLAIN_BLOCK_BELOW), where a numpy call costs more than
 the arithmetic, it runs on Python float lists, through a loop generated for
-each n on first use with the rows unpacked into locals (_row_kernel). The
-state from x0 is P @ x0. The smallest positive entry of P is the min of
-per-row floors (ProductTracker); every result is bit-identical.
+each n on first use with the rows unpacked into locals (_row_kernel). Steps
+on disjoint rows commute, so on mid-sized graphs (LEVEL_ROWS_BELOW) the
+steps between two checkpoints go by dependency levels, each level's rows in
+one gather-scale-scatter (_step_levels). The state from x0 is P @ x0. The
+smallest positive entry of P is the min of per-row floors (ProductTracker);
+every result is bit-identical.
 
 A run takes the O(n^2) seminorm of the product only where its value is
 read: at the recorded trace steps and the last step, the checkpoints of
@@ -76,12 +79,17 @@ SPARSE_RECORD_EVERY = 100
 
 #: Below this many nodes, ProductTracker.advance steps rows as Python float
 #: lists: a numpy call costs more than the O(n) arithmetic. On 100-step
-#: segments of the cycle, the generated kernel and numpy rows broke even at
-#: n = 35-36: 2.3 against 2.8 us/step at n = 32, 2.7 against 2.6 at n = 38.
+#: segments, the generated kernel broke even with dependency levels at n =
+#: 25-27 on the cycle and 29-31 on a random tree (levels x0.60, x0.83 at 32).
 PLAIN_ROWS_BELOW = 32
 #: ... and below this many, ProductTracker.block: converting its new rows, about
 #: 20 ns a float, broke even with numpy rows at n = 20-22 on 1,000 random edges.
 PLAIN_BLOCK_BELOW = 20
+#: From PLAIN_ROWS_BELOW to below this many, advance goes by dependency levels
+#: (_step_levels), whose 2k x n temporaries outgrow the cache. Against one step at a
+#: time on 100-step segments, the cycle read x0.53 at n = 400, x0.94 at 500
+#: and x1.09 at 600; a random tree x0.68 at 500 and x0.83 at 600.
+LEVEL_ROWS_BELOW = 500
 
 #: Largest rise of the computed seminorm that one step can cause through
 #: rounding, with u = 2**-53 the unit roundoff of float64. The exact update
@@ -305,10 +313,11 @@ class ProductTracker:
     """Running left product of the local matrices of a weight set.
 
     Starts at the identity, with each edge's ``_mix`` entry tabled once
-    under both orientations. ``advance(edges)`` replaces rows i and j, edge
-    by edge, with the rows of c0 * P[i] + c1 * P[j]; each entry is
-    fl(fl(c x) + fl(c' y)), as in two separate row updates, in numpy or, below
-    PLAIN_ROWS_BELOW nodes, on float lists through ``_row_kernel``.
+    under both orientations. ``advance(edges)`` replaces rows i and j of
+    each edge with the rows of c0 * P[i] + c1 * P[j]; each entry is
+    fl(fl(c x) + fl(c' y)), as in two separate row updates: edge by edge on
+    float lists below PLAIN_ROWS_BELOW nodes (``_row_kernel``), else in numpy,
+    a dependency level at a time below LEVEL_ROWS_BELOW (``_step_levels``).
     ``min_entry`` is the min of one positive-entry floor per row, taken from
     P when read.
     """
@@ -322,18 +331,26 @@ class ProductTracker:
             self._mixes[e] = self._mixes[e[::-1]] = _mix(e, w)
 
     def advance(self, edges: list) -> None:
-        """Step through ``edges``, on float lists below PLAIN_ROWS_BELOW nodes."""
-        P = self.P
-        if len(P) >= PLAIN_ROWS_BELOW:
-            for edge in edges:
-                i, j, c0, c1, _ = self._mixes[edge]
-                S = c0 * P[i] + c1 * P[j]  # unpacking S into P[i], P[j] iterates it: slower
-                P[i] = S[0]
-                P[j] = S[1]
-        else:
+        """Step through ``edges``. A step's dependency level is one past the
+        last level that wrote row i or row j, so the steps of a level touch
+        disjoint rows and each row sees its steps in schedule order."""
+        P, n = self.P, len(self.P)
+        if n < PLAIN_ROWS_BELOW:
             R = P.tolist()
-            _row_kernel(len(P), False)(R, self._mixes, edges)
+            _row_kernel(n, False)(R, self._mixes, edges)
             P[:] = R
+        elif n >= LEVEL_ROWS_BELOW:
+            _step_levels(P, [[m] for m in map(self._mixes.__getitem__, edges)])
+        else:
+            depth, levels = [0] * n, []
+            for m in map(self._mixes.__getitem__, edges):
+                i, j = m[0], m[1]
+                d = depth[i] if depth[i] > depth[j] else depth[j]
+                depth[i] = depth[j] = d + 1
+                if d == len(levels):
+                    levels.append([])
+                levels[d].append(m)
+            _step_levels(P, levels)
         self.t += len(edges)
 
     def restore(self, snapshot: np.ndarray, t: int) -> None:
@@ -410,6 +427,38 @@ class ProductTracker:
             if len(below):
                 break
         return out
+
+
+def _step_levels(P: np.ndarray, levels: list) -> None:
+    """Step P through ``levels``, lists of ``_mix`` entries on disjoint rows.
+    One step writes rows i < j as one strided view. A wider level gathers its
+    rows I then J, scales them by (1 - a_ij.., 1 - a_ji..), adds its rows J
+    then I scaled by (a_ij.., a_ji..) and scatters the sums back. Each entry
+    is fl(fl(c x) + fl(c' y)) either way: the bits of one edge at a time."""
+    import numpy as np
+    wide = [m for level in levels if len(level) > 1 for m in level]
+    if wide:
+        I, J, _, _, p = zip(*wide)
+        p0, p1, q0, q1 = zip(*p)
+        rows = np.array((I, J))
+        k1, k2 = np.array((p0, q1))[..., None], np.array((p1, q0))[..., None]
+    s = 0
+    for level in levels:
+        if len(level) == 1:
+            i, j, c0, c1, _ = level[0]  # in place: faster than np.add(..., out=)
+            S = c0 * P[i]
+            S += c1 * P[j]
+            P[i:j + 1:j - i] = S
+            continue
+        e = s + len(level)
+        r = rows[:, s:e]
+        X = P.take(r, axis=0)
+        X *= k1[:, s:e]
+        Y = P.take(r[::-1], axis=0)
+        Y *= k2[:, s:e]
+        X += Y
+        P[r] = X
+        s = e
 
 
 def _positive_floors(M: np.ndarray) -> np.ndarray:
@@ -500,12 +549,14 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
 
     Stops at the end of the schedule or at the first step whose seminorm is
     below ``opts.tol``. The limit estimate ``p_hat`` is the vector of
-    column means of the final product, and the residual seminorm is its
-    error certificate. When the schedule is periodic with a known spanning
-    window m, every recorded step is checked against the geometric decay
-    certificate and the worst violation is reported (<= 0 means the
-    certificate held everywhere it is measurable; the certificate is
-    floored at LEDGER_RESOLUTION for the comparison, traces carry the raw
+    column means of the final product. The residual seminorm bounds its
+    error in exact arithmetic only: at the rounding floor, max|p_hat - p*|
+    read 4.2e-15 against a seminorm of 1.7e-16 (designed 5-cycle, tol 0;
+    the rounding term is ROADMAP item 3). When the schedule is periodic with
+    a known spanning window m, every recorded step is checked against the
+    geometric decay certificate and the worst violation is reported (<= 0
+    means the certificate held everywhere it is measurable; the certificate
+    is floored at LEDGER_RESOLUTION for the comparison, traces carry the raw
     value).
 
     The run is one loop over segments, each ending at the next checkpoint of

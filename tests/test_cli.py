@@ -582,6 +582,16 @@ def test_cmd_simulate_config_errors(workdir, capsys):
     assert capsys.readouterr() == ("", "error: give either --schedule or --random-steps, not both\n")
     assert main(["simulate", g, w, "--random-steps", "10", "--seed", "1", "--tol", "0"]) == 2
     assert main(["simulate", g, w]) == 2
+    capsys.readouterr()
+    # a seed on an explicit or periodic schedule would be ignored: refused, whatever its value
+    p = write("p.json", {"type": "periodic", "period": [[1, 2], [2, 3]], "repetitions": 4})
+    for schedule, seed in ((s, "5"), (p, "5"), (p, "-3")):
+        assert main(["simulate", g, w, "--schedule", schedule, "--seed", seed]) == 2
+        assert capsys.readouterr() == ("", "error: --seed applies only to random schedules\n")
+    r = write("r.json", {"type": "random", "steps": 10, "seed": 1})
+    assert main(["simulate", g, w, "--schedule", r, "--seed", "-3"]) == 2
+    assert capsys.readouterr().err == f"error: {r}: seed must be >= 0, got -3\n"
+    assert main(["simulate", g, w, "--schedule", r, "--seed", "3"]) == 1  # 10 steps: not converged
 
 
 @pytest.mark.parametrize("flags, error", [

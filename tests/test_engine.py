@@ -15,6 +15,7 @@ from hologossip.engine import (
     DENSE_RECORD_LIMIT,
     DRAW_CHUNK,
     LEDGER_RESOLUTION,
+    LEVEL_ROWS_BELOW,
     PLAIN_BLOCK_BELOW,
     PLAIN_ROWS_BELOW,
     RISE,
@@ -517,6 +518,36 @@ def test_checkpoint_rule_matches_every_step_rule():
     assert sum(t % SPARSE_RECORD_EVERY != 0 for t in stops[::3]) >= 4
 
 
+@pytest.mark.parametrize("n", [40, 64])
+def test_checkpoint_rule_matches_every_step_rule_in_level_range(monkeypatch, n):
+    # the sparse segments step by dependency levels; a stop inside one restores
+    # the snapshot and replays the segment through block
+    assert PLAIN_ROWS_BELOW <= n < LEVEL_ROWS_BELOW
+    rng = np.random.default_rng(1900 + n)
+    g = random_connected_graph(rng, n, extra=n // 4)
+    ws = uniform_weights(rng, g, 0.05, 0.5)
+    schedule = Schedule.random(g, seed=n, steps=1957)
+    s = _seminorms(ws, schedule)
+    assert s[-1] > 1e-9  # still far above rounding at the last step
+    mid = int(rng.choice([t for t in range(DENSE_RECORD_LIMIT + 1, len(schedule))
+                          if t % SPARSE_RECORD_EVERY and s[t] < s[:t].min()]))
+    calls, replays, restore = _counted_kernel_steps(monkeypatch), [], ProductTracker.restore
+
+    def recorded_restore(self, snapshot, t):
+        replays.append(t)
+        restore(self, snapshot, t)
+
+    monkeypatch.setattr(ProductTracker, "restore", recorded_restore)
+    stops = []
+    for tol in (np.nextafter(s[mid], 1.0), np.nextafter(s[-1], 1.0), s[-1] / 2):
+        expected = _every_step_run(ws, schedule, float(tol))
+        assert _outcome(ws, schedule, float(tol)) == expected
+        stops.append(expected["steps"])
+    assert stops[0] == mid and stops[2] == len(schedule)
+    assert calls["levels"] > 0 and calls["advance"] == 0
+    assert mid - mid % SPARSE_RECORD_EVERY in replays
+
+
 def test_checkpoint_rule_at_tolerance_boundary():
     # tol exactly at a checkpoint's seminorm, and one ulp above it: both replay
     cases = []
@@ -852,8 +883,11 @@ def test_untraced_run_without_spanning_period():
 def _counted_kernel_steps(monkeypatch) -> dict:
     """Patch the kernel factory so that every kernel it hands out adds the number
     of edges it steps to the returned counts: under "block" for the kernels that
-    also record versions, under "advance" for the others."""
-    steps, factory = {"advance": 0, "block": 0}, engine._row_kernel
+    also record versions, under "advance" for the others. Steps that advance
+    takes in numpy count under "levels" when their level holds more than one
+    step, else under "singles"."""
+    steps, factory = {"advance": 0, "block": 0, "levels": 0, "singles": 0}, engine._row_kernel
+    step_levels = engine._step_levels
 
     def counted(n, versions):
         kernel, kind = factory(n, versions), "block" if versions else "advance"
@@ -863,7 +897,13 @@ def _counted_kernel_steps(monkeypatch) -> dict:
             return kernel(R, mixes, edges, *push)
         return stepped
 
+    def levelled(P, levels):
+        for level in levels:
+            steps["levels" if len(level) > 1 else "singles"] += len(level)
+        return step_levels(P, levels)
+
     monkeypatch.setattr(engine, "_row_kernel", counted)
+    monkeypatch.setattr(engine, "_step_levels", levelled)
     return steps
 
 
@@ -876,34 +916,47 @@ def test_untraced_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
     report = run(balanced_float, Schedule.random(triangle, seed=5, steps=3456),
                  RunOptions(tol=0, trace=False))
     assert report.steps == 3456 and not report.converged and not calls
-    assert plain == {"advance": 3456, "block": 0}
+    assert plain == {"advance": 3456, "block": 0, "levels": 0, "singles": 0}
     assert [row.t for row in report.trace] == list(range(100, 3401, 100)) + [3456]
 
 
 # -- plain-float rows ---------------------------------------------------------
 
-def _stepped_both_ways(monkeypatch, ws, edges, steps):
-    """advance, block and a traced run of ``steps`` random edges, with the
-    rows of ``advance`` and ``block`` forced to numpy arrays and then to float lists."""
+#: (PLAIN_ROWS_BELOW, PLAIN_BLOCK_BELOW, LEVEL_ROWS_BELOW) that force each path
+#: of advance: numpy rows by dependency levels, numpy rows one step at a
+#: time, float-list rows (block: numpy rows in the first two, float lists in
+#: the third).
+_FORCED_PATHS = ((0, 0, 10**9), (0, 0, 0), (10**9, 10**9, 10**9))
+
+
+def _stepped_each_way(monkeypatch, ws, edges, steps):
+    """advance, block and a traced run of ``steps`` random edges, with the rows
+    of ``advance`` and ``block`` forced onto each path of _FORCED_PATHS."""
     out = []
-    for limit in (0, 10**9):
-        monkeypatch.setattr(engine, "PLAIN_ROWS_BELOW", limit)
-        monkeypatch.setattr(engine, "PLAIN_BLOCK_BELOW", limit)
+    for limits in _FORCED_PATHS:
+        for name, limit in zip(("PLAIN_ROWS_BELOW", "PLAIN_BLOCK_BELOW", "LEVEL_ROWS_BELOW"), limits):
+            monkeypatch.setattr(engine, name, limit)
         calls = _counted_kernel_steps(monkeypatch)
         a, b = ProductTracker(ws), ProductTracker(ws)
         a.advance(edges)
         rows = b.block(edges, 0.0)
-        forced = len(edges) if limit else 0  # each call took the forced path
-        assert calls == {"advance": forced, "block": forced}
+        plain = len(edges) if limits[0] else 0  # each call took the forced path
+        assert calls["advance"] == calls["block"] == plain
+        if limits == (0, 0, 0):
+            assert calls["singles"] == len(edges)
+        elif not plain:
+            assert calls["levels"] + calls["singles"] == len(edges)
         r = run(ws, Schedule.random(ws.graph, seed=len(edges), steps=steps), RunOptions(tol=0))
         assert a.t == b.t == len(edges) and a.P.tobytes() == b.P.tobytes()
         out.append((a.P.tobytes(), rows, r.P.tobytes(), r.trace))
     return out
 
 
-@pytest.mark.parametrize("n", [PLAIN_ROWS_BELOW - 1, PLAIN_ROWS_BELOW])
+@pytest.mark.parametrize("n", [PLAIN_ROWS_BELOW - 1, PLAIN_ROWS_BELOW,
+                               LEVEL_ROWS_BELOW - 1, LEVEL_ROWS_BELOW])
 def test_advance_edge_by_edge_matches_one_call(n):
-    # float-list rows below PLAIN_ROWS_BELOW nodes, numpy rows from it on
+    # float-list rows below PLAIN_ROWS_BELOW nodes, numpy rows by dependency
+    # levels from it on, numpy rows one step at a time from LEVEL_ROWS_BELOW on
     rng = np.random.default_rng(1400 + n)
     g = random_connected_graph(rng, n, extra=n)
     ws = random_float_weights(rng, g)
@@ -913,6 +966,61 @@ def test_advance_edge_by_edge_matches_one_call(n):
     for e in edges:
         each.advance([e])
     assert one.t == each.t == len(edges) and one.P.tobytes() == each.P.tobytes()
+
+
+def _per_row_product(ws, edges) -> np.ndarray:
+    """The product stepped one edge at a time, both new rows from one
+    expression c0 * P[i] + c1 * P[j] on numpy rows: the reference for the
+    dependency levels of ``advance``."""
+    pairs = dict(ws.to_float().items())
+    P = np.eye(ws.graph.n)
+    for e in edges:
+        (a, b), i, j = pairs[min(e), max(e)], min(e) - 1, max(e) - 1
+        S = np.array([[1.0 - a], [b]]) * P[i] + np.array([[a], [1.0 - b]]) * P[j]
+        P[i] = S[0]
+        P[j] = S[1]
+    return P
+
+
+def _level_cases(rng, n):
+    """(name, weights, edges) on n nodes for the level path: a star, where each
+    level holds one step; a perfect matching of the path in random order, one
+    wide level, then random path edges; random edges, some repeated up to three
+    times in a row and each in either orientation; the path without its last
+    edge, so that P keeps zeros; weights that take entries subnormal."""
+    g = random_connected_graph(rng, n, extra=n // 4)
+    star = build_graph(n, [(1, v) for v in range(2, n + 1)])
+    path = build_graph(n, [(v, v + 1) for v in range(1, n)])
+    draw = lambda order, k: [order[int(v)] for v in rng.integers(0, len(order), k)]
+    matching = [path.sorted_edges[int(k)] for k in rng.permutation(range(0, n - 1, 2))]
+    repeated = []
+    for e in draw(g.sorted_edges, 200):
+        repeated += [e[::-1] if rng.random() < 0.5 else e] * int(rng.choice([1, 1, 2, 3]))
+    return [("star", random_float_weights(rng, star), draw(star.sorted_edges, 300)),
+            ("matching", random_float_weights(rng, path), matching + draw(path.sorted_edges, 200)),
+            ("repeated", random_float_weights(rng, g), repeated),
+            ("zeros", random_float_weights(rng, path), draw(path.sorted_edges[:-1], 300)),
+            ("subnormal", _tiny_weights(rng, g), draw(g.sorted_edges, 20 * n))]
+
+
+@pytest.mark.parametrize("n", [PLAIN_ROWS_BELOW, 50, LEVEL_ROWS_BELOW - 1, LEVEL_ROWS_BELOW])
+def test_levels_match_per_row_reference(monkeypatch, n):
+    rng = np.random.default_rng(1800 + n)
+    for name, ws, edges in _level_cases(rng, n):
+        calls = _counted_kernel_steps(monkeypatch)
+        tracker = ProductTracker(ws)
+        for start in range(0, len(edges), SPARSE_RECORD_EVERY):
+            tracker.advance(edges[start:start + SPARSE_RECORD_EVERY])
+        expected = _per_row_product(ws, edges)
+        assert tracker.P.tobytes() == expected.tobytes(), name
+        wide = n < LEVEL_ROWS_BELOW and name != "star"
+        assert calls["singles"] + calls["levels"] == len(edges) and bool(calls["levels"]) == wide
+        if name == "matching" and wide:
+            assert calls["levels"] >= n // 2
+        if name == "zeros":
+            assert (expected[:, -1] == 0).sum() == n - 1
+        if name == "subnormal":
+            assert ((0 < expected) & (expected < np.finfo(float).tiny)).any()
 
 
 @pytest.mark.parametrize("n", range(2, PLAIN_ROWS_BELOW + 3))
@@ -931,8 +1039,8 @@ def test_plain_rows_match_numpy_rows(monkeypatch, n):
         for k in rng.integers(0, len(order), 400):
             e = order[int(k)]
             edges += [e[::-1] if rng.random() < 0.5 else e] * int(rng.choice([1, 1, 2, 3]))
-        numpy_rows, plain_rows = _stepped_both_ways(monkeypatch, ws, edges, 1150)
-        assert numpy_rows == plain_rows
+        level_rows, numpy_rows, plain_rows = _stepped_each_way(monkeypatch, ws, edges, 1150)
+        assert level_rows == numpy_rows == plain_rows
         P = np.frombuffer(plain_rows[0]).reshape(n, n)
         if ws.graph is path and n > 2:
             assert (P[:, -1] == 0).sum() == n - 1
