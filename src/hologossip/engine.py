@@ -18,7 +18,8 @@ read: at the recorded trace steps and the last step, the checkpoints of
 its stopping rule; a caller that reads no trace (RunOptions.trace) needs
 only every SPARSE_RECORD_EVERY-th step and the last. The run is one loop
 over segments, each ending at the next checkpoint. Where every step is one,
-each block_length(n) steps share one pass over the rows they leave alone
+each block_length(n) steps share one gather of the row versions they make,
+reduced over rows, and one pass over the rows they leave alone
 (ProductTracker.block). A sparse segment that may hold a step below
 the tolerance is taken again the same way (see run and RISE), so the result
 is bit-identical to testing the rule after every step.
@@ -37,10 +38,10 @@ with eps = min_weight ** (n - 1).
 
 Reproducibility: random schedules draw edge indices with numpy's PCG64
 generator seeded from the schedule's 64-bit seed; for a fixed numpy
-version the draw is bit-identical across platforms. Indices are drawn in
-fixed chunks of DRAW_CHUNK as the run consumes them, which gives the same
-stream as one draw of the whole step count (tested), so schedule memory
-does not depend on the step count. The engine always simulates in float64
+version the draw is bit-identical across platforms. Indices are drawn as
+the run consumes them, in chunks that double from 64 up to DRAW_CHUNK,
+which gives the same stream as one draw of the whole step count (tested),
+so schedule memory does not depend on the step count. The engine always simulates in float64
 regardless of the weight kind.
 
 numpy is imported by the functions that compute with it: the closed-form
@@ -69,7 +70,7 @@ DEFAULT_TOL = 1e-10
 #: this resolution the raw comparison would only measure rounding noise.
 LEDGER_RESOLUTION = 1e-15
 
-#: Random schedules draw this many edge indices at a time.
+#: Random schedules draw at most this many edge indices at a time (Schedule.edge_list).
 DRAW_CHUNK = 4096
 
 #: Trace recording policy: every step up to this bound, ...
@@ -82,9 +83,9 @@ SPARSE_RECORD_EVERY = 100
 #: segments, the generated kernel broke even with dependency levels at n =
 #: 25-27 on the cycle and 29-31 on a random tree (levels x0.60, x0.83 at 32).
 PLAIN_ROWS_BELOW = 32
-#: ... and below this many, ProductTracker.block: converting its new rows, about
-#: 20 ns a float, broke even with numpy rows at n = 20-22 on 1,000 random edges.
-PLAIN_BLOCK_BELOW = 20
+#: ... and below this many, ProductTracker.block: on 1,000 random edges, float lists
+#: read x0.78 of numpy rows at n = 19, x0.91-0.94 at 30 and x1.00-1.05 at 31-33.
+PLAIN_BLOCK_BELOW = 31
 #: From PLAIN_ROWS_BELOW to below this many, advance goes by dependency levels
 #: (_step_levels), whose 2k x n temporaries outgrow the cache. Against one step at a
 #: time on 100-step segments, the cycle read x0.53 at n = 400, x0.94 at 500
@@ -150,18 +151,19 @@ class Schedule:
         return len(self.edges) * self.repetitions
 
     def edge_list(self) -> Iterator[tuple]:
-        """Yield the edge sequence in order; random edges are drawn DRAW_CHUNK at a time."""
+        """Yield the edge sequence in order; random edges in chunks of 64 doubling to DRAW_CHUNK."""
         if self.kind != "random":
             for _ in range(self.repetitions):
                 yield from self.edges
         else:
             import numpy as np
             rng = np.random.Generator(np.random.PCG64(self.seed))
-            order = self.graph.sorted_edges
-            for start in range(0, self.steps, DRAW_CHUNK):
-                size = min(DRAW_CHUNK, self.steps - start)
+            order, start, size = self.graph.sorted_edges, 0, 64
+            while start < self.steps:
+                size = min(size, self.steps - start)
                 for k in rng.integers(0, len(order), size=size).tolist():
                     yield order[k]
+                start, size = start + size, min(2 * size, DRAW_CHUNK)
 
 
 @dataclass(frozen=True)
@@ -272,9 +274,10 @@ def classify_schedule(s: Schedule) -> ScheduleClass:
 # -- running product ----------------------------------------------------------
 
 def block_length(n: int) -> int:
-    """Steps K per part of ProductTracker.block on n nodes. A part's temporaries
-    hold K * min(2K, n) * n floats: at most 4096 at small n, where a part's fixed
-    numpy calls outweigh its steps, and K = 8 from n = 22 up (longer was slower at 200)."""
+    """Steps K per part of ProductTracker.block on n nodes. A part gathers K states
+    of R rows of n floats, R = n below PLAIN_BLOCK_BELOW and min(2K, n) from there
+    up: at most 4096 floats at small n, where a part's fixed numpy calls outweigh
+    its steps, and K = 8 from n = 22 up (longer was slower at 200)."""
     return max(8, min(DENSE_RECORD_LIMIT, 4096 // (n * n)))
 
 
@@ -295,17 +298,20 @@ def _row_kernel(n: int, versions: bool):
     list displays of p0 * a_k + p1 * b_k and q0 * a_k + q1 * b_k. Each entry
     rounds twice, as c0 * P[i] + c1 * P[j] does in numpy, so both give the
     same bits. With ``versions`` (for block), ``push`` takes each new row, row
-    i then row j. The source is made from integers alone."""
+    i then row j, and ``record`` the version of each row after each step: R's
+    rows on entry are 0..n-1, then two per step. The source is made from integers alone."""
     a, b = (", ".join(f"{x}{k}" for k in range(n)) for x in "ab")
     p, q = (", ".join(f"{c}0 * a{k} + {c}1 * b{k}" for k in range(n)) for c in "pq")
     namespace = {}
-    exec(f"def kernel(R, mixes, edges{', push' if versions else ''}):\n"
-         f"    for i, j, _, _, (p0, p1, q0, q1) in map(mixes.__getitem__, edges):\n"
+    exec(f"def kernel(R, mixes, edges{', push, record' if versions else ''}):\n"
+         + (f"    latest, w = list(range({n})), {n}\n" if versions else "")
+         + f"    for i, j, _, _, (p0, p1, q0, q1) in map(mixes.__getitem__, edges):\n"
          f"        {a}, = R[i]\n"
          f"        {b}, = R[j]\n"
          f"        R[i] = u = [{p}]\n"
          f"        R[j] = v = [{q}]\n"
-         + ("        push(u)\n        push(v)\n" if versions else ""), namespace)
+         + ("        push(u)\n        push(v)\n        latest[i], latest[j] = w, w + 1\n"
+            "        w += 2\n        record(latest)\n" if versions else ""), namespace)
     return namespace["kernel"]
 
 
@@ -367,60 +373,63 @@ class ProductTracker:
         whose seminorm is below ``tol``. The tracker keeps those steps.
 
         Each part runs on a table of versions of the rows it touches: each
-        row's value before the part, then the two rows each step writes, made
-        by ``_row_kernel`` below PLAIN_BLOCK_BELOW nodes. Gathering the
-        versions current after each step gives the touched rows of every
-        step's product, and gathering their floors gives the touched rows'
-        part of every ``min_entry``. One pass over the other rows, which no
-        step of the part changes, completes the column maxima and minima and
-        the floor. Max and min are exact, so every value equals the reduction of
-        the whole product after that step, bit for bit. Floors are read from
-        P on entry and carried across parts; gathered rows fill buffers made
-        once per call, so malloc does not return and re-fault them.
+        row's value before the part, then the two rows each step writes.
+        Below PLAIN_BLOCK_BELOW nodes every row is a version, and
+        ``_row_kernel`` writes the new rows and records which version each row
+        holds after each step; from there up, numpy rows and a loop over the
+        steps do both. The versions current after each step are gathered as
+        (row, step, column) and their floors as (row, step), so the column
+        maxima and minima and the floors of every step reduce over the first
+        axis, the short one. One pass over the other rows, which no step of
+        the part changes, completes them. Max and min are exact, so every
+        value equals the reduction of the whole product after that step, bit
+        for bit. Floors are read from P on entry and carried across parts;
+        gathered rows fill buffers made once per call, so malloc does not
+        return and re-fault them.
         """
         from array import array
         import numpy as np
         P, floors, out = self.P, _positive_floors(self.P), []
         n, K = len(P), block_length(len(P))
-        fixed_buf, touched_buf = np.empty((n, n)), np.empty(K * min(2 * K, n) * n)
         plain = n < PLAIN_BLOCK_BELOW
+        fixed_buf, touched_buf = np.empty((n, n)), np.empty(K * (n if plain else min(2 * K, n)) * n)
         if plain:
-            R, kernel = P.tolist(), _row_kernel(n, True)
+            R, kernel, rows = P.tolist(), _row_kernel(n, True), np.arange(n)
         for start in range(0, len(edges), K):
             part = edges[start:start + K]
-            steps = [self._mixes[e] for e in part]
-            rows = sorted({r for i, j, *_ in steps for r in (i, j)})
-            local = {r: k for k, r in enumerate(rows)}
-            if plain:
-                table = array("d")  # the two new rows of every step, in order
-                kernel(R, self._mixes, part, table.fromlist)
-                versions = np.concatenate((P[rows], np.frombuffer(table).reshape(-1, n)))
+            if plain:  # every row is a version: P's rows, then two new rows per step
+                table, current = array("d"), array("q")
+                kernel(R, self._mixes, part, table.fromlist, current.fromlist)
+                versions = np.concatenate((P, np.frombuffer(table).reshape(-1, n)))
+                current = np.frombuffer(current, dtype=np.int64).reshape(len(part), n).T
             else:
-                versions = np.empty((len(rows) + 2 * len(steps), P.shape[1]))
+                steps = [self._mixes[e] for e in part]
+                rows = sorted({r for i, j, *_ in steps for r in (i, j)})
+                local = {r: k for k, r in enumerate(rows)}
+                versions = np.empty((len(rows) + 2 * len(steps), n))
                 versions[:len(rows)] = P[rows]
-            latest, current = list(range(len(rows))), []
-            for v, (i, j, c0, c1, _) in zip(range(len(rows), len(versions), 2), steps):
-                li, lj = local[i], local[j]
-                if not plain:
+                latest, current = list(range(len(rows))), []
+                for v, (i, j, c0, c1, _) in zip(range(len(rows), len(versions), 2), steps):
+                    li, lj = local[i], local[j]
                     np.add(c0 * versions[latest[li]], c1 * versions[latest[lj]], out=versions[v:v + 2])
-                latest[li], latest[lj] = v, v + 1
-                current += latest
-            current = np.array(current).reshape(len(steps), len(rows))  # -> version
-            touched = versions.take(current, axis=0, mode="clip",  # (step, touched row, column)
+                    latest[li], latest[lj] = v, v + 1
+                    current += latest
+                current = np.array(current).reshape(len(steps), len(rows)).T  # (row, step) -> version
+            touched = versions.take(current, axis=0, mode="clip",  # (touched row, step, column)
                                     out=touched_buf[:current.size * n].reshape(*current.shape, n))
             others = np.ones(n, dtype=bool)
             others[rows] = False
             fixed = P.take(np.flatnonzero(others), axis=0, mode="clip", out=fixed_buf[:n - len(rows)])
-            hi = np.maximum(touched.max(axis=1), fixed.max(axis=0, initial=-np.inf))
-            lo = np.minimum(touched.min(axis=1), fixed.min(axis=0, initial=np.inf))
+            hi = np.maximum(touched.max(axis=0), fixed.max(axis=0, initial=-np.inf))
+            lo = np.minimum(touched.min(axis=0), fixed.min(axis=0, initial=np.inf))
             norms = (hi - lo).max(axis=1)
             version_floors = np.concatenate((floors[rows], _positive_floors(versions[len(rows):])))
-            mins = np.minimum(version_floors[current].min(axis=1),
+            mins = np.minimum(version_floors[current].min(axis=0),
                               floors[others].min(initial=np.inf))
             below = np.flatnonzero(norms < tol)
             kept = int(below[0]) + 1 if len(below) else len(part)
-            P[rows] = touched[kept - 1]
-            floors[rows] = version_floors[current[kept - 1]]
+            P[rows] = touched[:, kept - 1]
+            floors[rows] = version_floors[current[:, kept - 1]]
             out += zip(range(self.t + 1, self.t + kept + 1), part,
                        norms[:kept].tolist(), mins[:kept].tolist())
             self.t += kept
