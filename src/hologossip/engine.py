@@ -38,10 +38,10 @@ with eps = min_weight ** (n - 1).
 
 Reproducibility: random schedules draw edge indices with numpy's PCG64
 generator seeded from the schedule's 64-bit seed; for a fixed numpy
-version the draw is bit-identical across platforms. Indices are drawn as
-the run consumes them, in chunks that double from 64 up to DRAW_CHUNK,
-which gives the same stream as one draw of the whole step count (tested),
-so schedule memory does not depend on the step count. The engine always simulates in float64
+version the draw is bit-identical across platforms. Indices are drawn in
+fixed chunks of DRAW_CHUNK as the run consumes them, which gives the same
+stream as one draw of the whole step count (tested), so schedule memory
+does not depend on the step count. The engine always simulates in float64
 regardless of the weight kind.
 
 numpy is imported by the functions that compute with it: the closed-form
@@ -70,7 +70,7 @@ DEFAULT_TOL = 1e-10
 #: this resolution the raw comparison would only measure rounding noise.
 LEDGER_RESOLUTION = 1e-15
 
-#: Random schedules draw at most this many edge indices at a time (Schedule.edge_list).
+#: Random schedules draw this many edge indices at a time.
 DRAW_CHUNK = 4096
 
 #: Trace recording policy: every step up to this bound, ...
@@ -83,9 +83,10 @@ SPARSE_RECORD_EVERY = 100
 #: segments, the generated kernel broke even with dependency levels at n =
 #: 25-27 on the cycle and 29-31 on a random tree (levels x0.60, x0.83 at 32).
 PLAIN_ROWS_BELOW = 32
-#: ... and below this many, ProductTracker.block: on 1,000 random edges, float lists
-#: read x0.78 of numpy rows at n = 19, x0.91-0.94 at 30 and x1.00-1.05 at 31-33.
-PLAIN_BLOCK_BELOW = 31
+#: ... and below this many, ProductTracker.block, whose gather of K * n * n floats
+#: stays within 4096 here. On 1,000 random edges in process, float lists read x0.78
+#: of numpy rows at n = 19 and x0.91-0.94 at 30, but no workload runs at 20-30.
+PLAIN_BLOCK_BELOW = 20
 #: From PLAIN_ROWS_BELOW to below this many, advance goes by dependency levels
 #: (_step_levels), whose 2k x n temporaries outgrow the cache. Against one step at a
 #: time on 100-step segments, the cycle read x0.53 at n = 400, x0.94 at 500
@@ -151,19 +152,18 @@ class Schedule:
         return len(self.edges) * self.repetitions
 
     def edge_list(self) -> Iterator[tuple]:
-        """Yield the edge sequence in order; random edges in chunks of 64 doubling to DRAW_CHUNK."""
+        """Yield the edge sequence in order; random edges are drawn DRAW_CHUNK at a time."""
         if self.kind != "random":
             for _ in range(self.repetitions):
                 yield from self.edges
         else:
             import numpy as np
             rng = np.random.Generator(np.random.PCG64(self.seed))
-            order, start, size = self.graph.sorted_edges, 0, 64
-            while start < self.steps:
-                size = min(size, self.steps - start)
+            order = self.graph.sorted_edges
+            for start in range(0, self.steps, DRAW_CHUNK):
+                size = min(DRAW_CHUNK, self.steps - start)
                 for k in rng.integers(0, len(order), size=size).tolist():
                     yield order[k]
-                start, size = start + size, min(2 * size, DRAW_CHUNK)
 
 
 @dataclass(frozen=True)

@@ -335,29 +335,16 @@ def test_run_random_schedules_reproducible(balanced_float):
     ]
 
 
-def _doubling_chunks(total: int, largest: int) -> list:
-    """Sizes of the draws of ``total`` indices in chunks of 64, 128, ... up to
-    ``largest``, as Schedule.edge_list takes them with ``largest`` DRAW_CHUNK."""
-    sizes, size = [], 64
-    while sum(sizes) < total:
-        sizes.append(min(size, total - sum(sizes)))
-        size = min(2 * size, largest)
-    return sizes
-
-
 @pytest.mark.parametrize("chunk", [DRAW_CHUNK, DRAW_CHUNK + 1])
 def test_chunked_draws_equal_one_draw(chunk):
-    # numpy does not promise this; the lazy random schedule relies on it, with
-    # chunks that double from 64 up to DRAW_CHUNK and then stay there
-    assert _doubling_chunks(8_129, DRAW_CHUNK) == [64, 128, 256, 512, 1024, 2048, 4096, 1]
-    for k in (3, 7, 12, 50, 200, 237, 2**33, 2**33 + 5):
+    # numpy does not promise this; the lazy random schedule relies on it
+    for k in (3, 7, 200, 2**33):
         for total in (9_999, 150_000, 150_001):
             whole = np.random.Generator(np.random.PCG64(k + total)).integers(0, k, size=total)
-            for sizes in ([min(chunk, total - start) for start in range(0, total, chunk)],
-                          _doubling_chunks(total, chunk)):
-                rng = np.random.Generator(np.random.PCG64(k + total))
-                parts = [rng.integers(0, k, size=size) for size in sizes]
-                assert np.array_equal(np.concatenate(parts), whole)
+            rng = np.random.Generator(np.random.PCG64(k + total))
+            parts = [rng.integers(0, k, size=min(chunk, total - start))
+                     for start in range(0, total, chunk)]
+            assert np.array_equal(np.concatenate(parts), whole)
 
 
 def test_random_edge_stream_matches_one_draw():
@@ -365,9 +352,7 @@ def test_random_edge_stream_matches_one_draw():
     for seed in (0, 7, 21, 2**40 + 3):
         g = random_connected_graph(rng, 3 + seed % 5, extra=2)
         order = g.sorted_edges
-        # inside the first chunk, at the ends of the doubling chunks and past them
-        for steps in (1, 63, 64, 65, 192, 193, DRAW_CHUNK, DRAW_CHUNK + 1,
-                      8_128, 8_129, 3 * DRAW_CHUNK + 17):
+        for steps in (1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 17):
             draws = np.random.Generator(np.random.PCG64(seed)).integers(0, len(order), size=steps)
             reference = [order[k] for k in draws]
             assert list(Schedule.random(g, seed, steps).edge_list()) == reference
@@ -613,9 +598,8 @@ def _running_minima(s):
     return [t for t in range(1, len(s)) if s[t] < low[t - 1]]
 
 
-def test_block_stops_match_every_step_rule(monkeypatch):
-    # a 20-node periodic run and a 5-node one, each with block's rows forced onto
-    # numpy rows, whose 20-node parts leave rows alone, and onto float lists
+def test_block_stops_match_every_step_rule():
+    # a 20-node periodic run, whose blocks leave rows alone, and a 5-node one
     rng = np.random.default_rng(970)
     g = random_connected_graph(rng, 20, extra=3)
     period = [g.sorted_edges[int(k)] for k in rng.permutation(len(g.sorted_edges))]
@@ -643,9 +627,7 @@ def test_block_stops_match_every_step_rule(monkeypatch):
             tol = float(np.nextafter(s[t], 1.0))
             expected = _every_step_run(ws, schedule, tol)
             assert expected["steps"] == t and expected["max_bound_violation"] is not None
-            for limit in (0, 10**9):
-                monkeypatch.setattr(engine, "PLAIN_BLOCK_BELOW", limit)
-                assert _outcome(ws, schedule, tol) == expected
+            assert _outcome(ws, schedule, tol) == expected
     assert at_limit == 1
 
 
@@ -673,13 +655,14 @@ def test_long_block_stops_match_every_step_rule(seed):
 def test_block_length_keeps_temporaries_bounded():
     # a part gathers K states of R rows of n floats: every row (R = n) below
     # PLAIN_BLOCK_BELOW, the at most min(2K, n) rows it touches from there up.
-    # At most 4096 floats, or 8-step parts of at most max(PLAIN_BLOCK_BELOW - 1, 16)
-    # rows from n = 22 up
+    # At most 4096 floats, or the 8-step parts of the large graphs
     for n in range(2, 2001):
         K = block_length(n)
-        R = n if n < PLAIN_BLOCK_BELOW else min(2 * K, n)
         assert 8 <= K <= DENSE_RECORD_LIMIT
-        assert K * R * n <= 4096 or K == 8 and R <= max(PLAIN_BLOCK_BELOW - 1, 16)
+        if n < PLAIN_BLOCK_BELOW:
+            assert K * n * n <= 4096
+        else:
+            assert K == 8 or K * min(2 * K, n) * n <= 4096
     assert [block_length(n) for n in (3, 8, 21, 22, 50, 200)] == [455, 64, 9, 8, 8, 8]
 
 
