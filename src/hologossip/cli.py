@@ -3,15 +3,14 @@
 Subcommands: check, limit, design, simulate, witness, verify. Exit codes
 are a stable contract: 0 success, 1 domain-level negative result (not
 balanced, not converged, non-interior target), 2 malformed input or
-configuration. The environment variable HOLOGOSSIP_LOG (off|info|debug)
-controls diagnostic verbosity on stderr.
+configuration. With the environment variable HOLOGOSSIP_LOG set to info
+or debug, ``design -o`` reports the file it wrote on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import os
 import sys
 from fractions import Fraction
@@ -32,16 +31,6 @@ from .weights import check_holonomy
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
-
-log = logging.getLogger("hologossip")
-
-
-def _setup_logging() -> None:
-    level_name = os.environ.get("HOLOGOSSIP_LOG", "off").strip().lower()
-    levels = {"off": logging.CRITICAL + 10, "info": logging.INFO, "debug": logging.DEBUG}
-    level = levels.get(level_name, logging.CRITICAL + 10)
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(message)s")
-    log.setLevel(level)
 
 
 def _render_scalar(v) -> str:
@@ -124,7 +113,9 @@ def cmd_design(args) -> int:
     text = files.weights_to_json(ws)
     if args.output is not None:
         files.write_text(args.output, text)
-        log.info("wrote weights for %d edges to %s", len(g.sorted_edges), args.output)
+        if os.environ.get("HOLOGOSSIP_LOG", "").strip().lower() in ("info", "debug"):
+            print(f"INFO wrote weights for {len(g.sorted_edges)} edges to {args.output}",
+                  file=sys.stderr)
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -258,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)

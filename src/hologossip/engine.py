@@ -185,59 +185,45 @@ def spanning_prefix(n: int, edges) -> Optional[int]:
     return 0 if uf.components == 1 else None
 
 
-class _EdgeWindow:
+class _EdgeWindow(UnionFind):
     """Connectivity of a window of edges that grows at its newest end and
-    shrinks at its oldest. A union-find by size and without path compression
-    can undo its latest union; the stack keeps the window's edges in the
-    order their unions were made, and ``pop`` turns it into a queue (the
-    queue-undo trick): an amortized O(log L) unions undone and redone per
-    edge of a window over L edges."""
+    shrinks at its oldest. The stack keeps the window's edges in the order
+    their unions were made, each with the root it hung, so the latest can be
+    undone, and ``pop`` turns it into a queue (the queue-undo trick): an
+    amortized O(log L) unions undone and redone per edge of a window over L
+    edges."""
 
     def __init__(self, n: int):
-        self.parent, self.size, self.components = list(range(n + 1)), [1] * (n + 1), n
+        super().__init__(n)
         self.stack, self.fronts = [], 0  # (edge, among the oldest, root it hung or None)
-
-    def _root(self, v: int) -> int:
-        while self.parent[v] != v:
-            v = self.parent[v]
-        return v
 
     def push(self, edge, front: bool = False) -> None:
         """Add ``edge`` as the newest, or, redone by ``pop``, as one of the oldest."""
-        a, b = self._root(edge[0]), self._root(edge[1])
-        if self.size[a] < self.size[b]:
-            a, b = b, a
-        if a != b:
-            self.parent[b] = a
-            self.size[a] += self.size[b]
-            self.components -= 1
-        self.stack.append((edge, front, b if a != b else None))
+        self.stack.append((edge, front, self.union(edge[0], edge[1])))
 
-    def _undo(self) -> tuple:
-        edge, front, b = self.stack.pop()
-        if b is not None:
-            a, self.parent[b] = self.parent[b], b
-            self.size[a] -= self.size[b]
-            self.components += 1
+    def _unpush(self) -> tuple:
+        edge, front, root = self.stack.pop()
+        if root is not None:
+            self.undo(root)
         return edge, front
 
     def pop(self) -> None:
         """Drop the oldest edge of the window."""
         if not self.fronts:  # undo every edge, then redo them newest first: oldest on top
-            newest_first = [self._undo()[0] for _ in range(len(self.stack))]
+            newest_first = [self._unpush()[0] for _ in range(len(self.stack))]
             self.fronts = len(newest_first)
             for e in newest_first:
                 self.push(e, True)
         elif not self.stack[-1][1]:  # undo newer edges up to as many fronts; redo fronts last
             backs, fronts = [], []
             while not backs or len(fronts) < min(len(backs), self.fronts):
-                edge, front = self._undo()
+                edge, front = self._unpush()
                 (fronts if front else backs).append(edge)
             for e in reversed(backs):
                 self.push(e)
             for e in reversed(fronts):
                 self.push(e, True)
-        self._undo()
+        self._unpush()
         self.fronts -= 1
 
 

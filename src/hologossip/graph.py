@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .errors import (
     DisconnectedGraph,
@@ -216,25 +216,31 @@ def fundamental_cycles(g: Graph, t: SpanningTree) -> list:
 
 
 class UnionFind:
-    """Union-find over nodes 1..n with path compression."""
+    """Union-find over nodes 1..n, joined by size and without path compression:
+    a root walk is O(log n), and ``undo`` takes back the latest merge."""
 
     def __init__(self, n: int):
-        self._parent = list(range(n + 1))
-        self.components = n
+        self.parent, self.size, self.components = list(range(n + 1)), [1] * (n + 1), n
 
-    def find(self, v: int) -> int:
-        root = v
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[v] != root:
-            self._parent[v], v = root, self._parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self._parent[rb] = ra
+    def union(self, a: int, b: int) -> Optional[int]:
+        """Join the sets of a and b: the root hung under the other, or None
+        when they were already one set."""
+        parent, size = self.parent, self.size
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a == b:
+            return None
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b] = a
+        size[a] += size[b]
         self.components -= 1
-        return True
+        return b
 
+    def undo(self, root: int) -> None:
+        """Take back the latest merge, which hung ``root``."""
+        a, self.parent[root] = self.parent[root], root
+        self.size[a] -= self.size[root]
+        self.components += 1

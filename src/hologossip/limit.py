@@ -5,9 +5,10 @@ is a unique positive probability vector: the normalized node potentials,
 each the product of directed ratios along a tree path from a base node. One
 O(n + m) pass (:class:`hologossip.weights.TreePotentials`) assigns every
 potential from its parent's. Without cycle balance no single vector works,
-but every spanning tree still induces one; two trees extracted from a
-violated cycle give vectors that provably differ, which is the witness this
-module produces.
+but every spanning tree still induces one. The check pass's tree holds the
+path of the violated cycle it finds, and a tree grown around that cycle's
+closing edge gives a vector that provably differs: the pair is the witness
+this module produces.
 """
 
 from __future__ import annotations
@@ -122,10 +123,10 @@ def verify_left_eigenvector(ws: WeightSet, p: ProbabilityVector) -> bool:
 class WitnessTrees:
     """Two spanning trees whose attached vectors disagree.
 
-    ``path_tree`` contains the path edges of a violated cycle, and
-    ``chord_tree`` contains the edge closing it; because the cycle's ratio
-    product differs from one, the two vectors differ in the ratio of the
-    entries at the cycle's endpoints.
+    ``path_tree`` is the tree of the check pass, which holds the path edges
+    of the violated cycle it found, and ``chord_tree`` contains the edge
+    closing it; because the cycle's ratio product differs from one, the two
+    vectors differ in the ratio of the entries at the cycle's endpoints.
     """
 
     path_tree: SpanningTree
@@ -140,13 +141,10 @@ def nonholonomy_witness_trees(ws: WeightSet) -> Optional[WitnessTrees]:
     if report.holonomic:
         return None
     nodes = report.witness.cycle.nodes  # (v1, ..., vk, v1)
-    path_edges = {normalize_edge(u, v) for u, v in zip(nodes, nodes[1:-1])}
-    chord = normalize_edge(nodes[0], nodes[-2])
-    t_path = spanning_tree_containing(ws.graph, path_edges)
-    t_chord = spanning_tree_containing(ws.graph, {chord})
+    t_chord = spanning_tree_containing(ws.graph, {normalize_edge(nodes[0], nodes[-2])})
     return WitnessTrees(
-        path_tree=t_path,
+        path_tree=report.potentials.t,
         chord_tree=t_chord,
-        path_vector=tree_vector(ws, t_path),
+        path_vector=_normalized(report.potentials),
         chord_vector=tree_vector(ws, t_chord),
     )

@@ -734,10 +734,17 @@ def test_cmd_verify_rejects_bad_criteria(criteria, capsys):
 
 
 def test_log_env_smoke(workdir, monkeypatch, capsys):
-    _, write = workdir
-    monkeypatch.setenv("HOLOGOSSIP_LOG", "debug")
-    g = write("g.json", TRIANGLE_GRAPH)
-    assert main(["check", g, write("w.json", BALANCED_RATIONAL)]) == 0
+    tmp, write = workdir
+    g, out = write("g.json", TRIANGLE_GRAPH), str(tmp / "out.json")
+    for level, logs in [("info", True), (" DEBUG ", True), ("off", False), ("verbose", False)]:
+        monkeypatch.setenv("HOLOGOSSIP_LOG", level)
+        assert main(["check", g, write("w.json", BALANCED_RATIONAL)]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["design", g, "--target", "1/2,1/3,1/6", "--x", "3/10,3/5,1/2",
+                     "-o", out]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"INFO wrote weights for 3 edges to {out}\n" if logs else "")
 
 
 def test_pipeline_closure_25_seeded_cases(tmp_path, capsys):

@@ -5,6 +5,7 @@ from hologossip import errors
 from hologossip.acceptance import random_connected_graph, random_float_weights
 from hologossip.engine import is_scrambling
 from hologossip.graph import (
+    UnionFind,
     build_graph,
     fundamental_cycles,
     spanning_tree,
@@ -143,6 +144,32 @@ def test_spanning_tree_from_edges_rejects_a_non_tree(edges):
         spanning_tree_from_edges(g, edges)
     assert spanning_tree_from_edges(g, [(1, 2), (2, 3), (3, 4)]).parent == {1: None, 2: 1, 3: 2, 4: 3}
 
+
+
+def _state(uf):
+    return uf.parent, uf.size, uf.components
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_union_find_undo_takes_back_the_latest_merges(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    calls = [tuple(int(v) for v in rng.integers(1, n + 1, size=2)) for _ in range(2 * n)]
+    uf, merges = UnionFind(n), []  # (call index, root it hung)
+    for k, (a, b) in enumerate(calls):
+        root = uf.union(a, b)
+        if root is not None:
+            assert uf.union(b, a) is None and uf.union(a, a) is None
+            merges.append((k, root))
+    assert uf.components == n - len(merges)
+    for undone in range(len(merges) + 1):
+        kept = merges[len(merges) - undone][0] if undone else len(calls)
+        replayed = UnionFind(n)
+        for a, b in calls[:kept]:
+            replayed.union(a, b)
+        assert _state(uf) == _state(replayed)
+        if undone < len(merges):
+            uf.undo(merges[-1 - undone][1])
 
 
 def test_neighbor_shared_triangle_product_support(triangle):

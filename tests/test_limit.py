@@ -1,9 +1,10 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from hologossip import errors
+from hologossip import errors, limit, weights
 from hologossip.acceptance import (
     random_connected_graph,
     random_rational_box,
@@ -126,18 +127,46 @@ def test_witness_trees_none_on_tree_graph():
     assert nonholonomy_witness_trees(ws) is None
 
 
-def test_witness_trees_random_validity():
+def _count_calls(monkeypatch, counts, *homes):
+    """Count the calls of each (module, name) in ``counts`` under its name."""
+    for module, name in homes:
+        real = getattr(module, name)
+
+        def counted(*args, _real=real, _name=name):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(module, name, counted)
+
+
+def test_witness_trees_random_validity(monkeypatch):
+    counts = Counter()
+    _count_calls(monkeypatch, counts, (weights, "TreePotentials"), (limit, "TreePotentials"),
+                 (limit, "spanning_tree_containing"))
+    for exact in (True, False):
+        _check_random_witnesses(counts, exact)
+
+
+def _check_random_witnesses(counts, exact):
     rng = np.random.default_rng(47)
     found = 0
     while found < 15:
         n = 3 + int(rng.integers(0, 6))
         g = random_connected_graph(rng, n, extra=max(1, n // 2))
         ws = random_rational_weights(rng, g)
-        if check_holonomy(ws).holonomic:
+        if not exact:
+            ws = WeightSet(g, {e: tuple(map(float, ws.pair(e))) for e in g.sorted_edges})
+        report = check_holonomy(ws)
+        if report.holonomic:
             continue
         found += 1
+        counts.clear()
         wt = nonholonomy_witness_trees(ws)
+        # one check pass, whose tree is tree 1, then one tree built and walked for tree 2
+        assert counts == {"TreePotentials": 2, "spanning_tree_containing": 1}
+        assert wt.path_tree.edges == report.potentials.t.edges
         assert wt.path_tree.edges != wt.chord_tree.edges
+        assert wt.path_vector.entries == tree_vector(ws, wt.path_tree).entries
+        assert wt.chord_vector.entries == tree_vector(ws, wt.chord_tree).entries
         gap = max(
             abs(a - b) for a, b in zip(wt.path_vector.entries, wt.chord_vector.entries)
         )

@@ -81,7 +81,7 @@ def test_closed_form_commands_start_without_numpy(paths, argv, code):
     g, w, tmp = paths
     got, _, modules, kernels = _fresh([a.format(g=g, w=w, tmp=tmp) for a in argv], tmp)
     assert got == code
-    assert "numpy" not in modules and kernels == 0
+    assert "numpy" not in modules and "logging" not in modules and kernels == 0
     assert _traced_modules() <= modules
 
 
