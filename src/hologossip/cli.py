@@ -93,8 +93,8 @@ def cmd_design(args) -> int:
         print("error: target must lie strictly inside the simplex", file=sys.stderr)
         return EXIT_NEGATIVE
     total = sum(target)
-    if not abs(float(total) - 1.0) <= 1e-9:  # also NaN
-        raise FileFormatError(f"--target: entries sum to {float(total)}, not 1")
+    if not abs(total - 1) <= 1e-9:  # also NaN; no float() of an exact sum past float range
+        raise FileFormatError(f"--target: entries sum to {_render_scalar(total)}, not 1")
     target = [v / total for v in target]  # exact renormalization in rational mode
 
     if args.x is not None:

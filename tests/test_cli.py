@@ -361,6 +361,7 @@ def test_cmd_design_rejects_boundary_and_bad_sum(workdir):
     assert main(["design", g, "--target", "1/2,1/2,0", "--seed", "1"]) == 1
     assert main(["design", g, "--target", "0.5,0.4,0.3", "--seed", "1"]) == 2
     assert main(["design", g, "--target", "nan,0.5,0.5", "--seed", "1"]) == 2
+    assert main(["design", g, "--target", "1e400,1/3,1/3", "--seed", "1"]) == 2  # exact sum
     assert main(["design", g, "--target", "1/2,1/3,1/6"]) == 2  # no x, no seed
 
 
