@@ -505,8 +505,8 @@ def is_scrambling(M) -> bool:
 @dataclass
 class RunOptions:
     """Knobs for :func:`run`. ``tol`` of 0 disables early stopping. ``trace``
-    False: no one reads the rows of every step up to DENSE_RECORD_LIMIT, so
-    without a ledger the run records only its checkpoints there too."""
+    False: no one reads ``min_entry``, nor, without a ledger, the rows of every
+    step up to DENSE_RECORD_LIMIT; the run records only checkpoints there."""
 
     tol: float = DEFAULT_TOL
     trace: bool = True
@@ -517,7 +517,7 @@ class TraceRow(NamedTuple):
     edge: tuple
     seminorm: float
     bound: Optional[float]
-    min_entry: float
+    min_entry: Optional[float]
 
 
 @dataclass
@@ -565,7 +565,7 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
     below ``tol + k * RISE``, one of those steps may have been below ``tol``:
     the run restores the snapshot, takes the segment again through ``block``
     and records its last row, the first below ``tol`` or the segment's end.
-    Every output equals that of a test after every step.
+    Outputs match a test after every step; untraced rows hold no ``min_entry``.
     """
     import numpy as np
     if ws.graph != schedule.graph:
@@ -600,10 +600,10 @@ def run(ws: WeightSet, schedule: Schedule, opts: Optional[RunOptions] = None) ->
                 tracker.restore(snapshot, tracker.t - len(segment))
                 rows = tracker.block(segment, opts.tol)[-1:]
             else:
-                rows = [(tracker.t, segment[-1], s, tracker.min_entry())]
+                rows = [(tracker.t, segment[-1], s, tracker.min_entry() if opts.trace else None)]
         for t, edge, s, low in rows:
             bound = (1.0 - eps) ** (t / window - 1.0) if window is not None else None
-            trace.append(TraceRow(t, edge, s, bound, low))
+            trace.append(TraceRow(t, edge, s, bound, low if opts.trace else None))
     viols = [row.seminorm - max(row.bound, LEDGER_RESOLUTION)
              for row in trace if row.bound is not None]
 

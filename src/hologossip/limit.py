@@ -6,9 +6,9 @@ each the product of directed ratios along a tree path from a base node. One
 O(n + m) pass (:class:`hologossip.weights.TreePotentials`) assigns every
 potential from its parent's. Without cycle balance no single vector works,
 but every spanning tree still induces one. The check pass's tree holds the
-path of the violated cycle it finds, and a tree grown around that cycle's
-closing edge gives a vector that provably differs: the pair is the witness
-this module produces.
+path of the violated cycle it finds; moving one parent pointer swaps in the
+edge closing that cycle and gives a vector that provably differs: the pair
+is the witness this module produces.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import NonInteriorVector, NotHolonomic, NotUnitSum, UnrepresentableLimit
-from .graph import SpanningTree, normalize_edge, spanning_tree_containing
+from .graph import SpanningTree, normalize_edge
 from .weights import TreePotentials, WeightSet, check_holonomy, is_exact
 
 #: Max per-entry deviation tolerated by float-mode vector checks.
@@ -123,9 +123,9 @@ def verify_left_eigenvector(ws: WeightSet, p: ProbabilityVector) -> bool:
 class WitnessTrees:
     """Two spanning trees whose attached vectors disagree.
 
-    ``path_tree`` is the tree of the check pass, which holds the path edges
-    of the violated cycle it found, and ``chord_tree`` contains the edge
-    closing it; because the cycle's ratio product differs from one, the two
+    ``path_tree`` is the check pass's tree, which holds the path edges of the
+    violated cycle it found; ``chord_tree`` has the cycle's closing edge in
+    place of one path edge. As the cycle's ratio product is not one, the two
     vectors differ in the ratio of the entries at the cycle's endpoints.
     """
 
@@ -136,14 +136,16 @@ class WitnessTrees:
 
 
 def nonholonomy_witness_trees(ws: WeightSet) -> Optional[WitnessTrees]:
-    """Tree pair with distinct vectors, or None for a balanced set."""
+    """Tree pair with distinct vectors, or None for a balanced set: tree 1, and
+    tree 1 with j hung under i for the failing cycle's closing edge (i, j)."""
     report = check_holonomy(ws)
     if report.holonomic:
         return None
-    nodes = report.witness.cycle.nodes  # (v1, ..., vk, v1)
-    t_chord = spanning_tree_containing(ws.graph, {normalize_edge(nodes[0], nodes[-2])})
+    (i, *_, j, _), t = report.witness.cycle.nodes, report.potentials.t  # (i, ..., j, i)
+    edges = t.edges - {normalize_edge(j, t.parent[j])} | {normalize_edge(i, j)}
+    t_chord = SpanningTree(t.root, {**t.parent, j: i}, edges)  # t is a BFS tree: i is not under j
     return WitnessTrees(
-        path_tree=report.potentials.t,
+        path_tree=t,
         chord_tree=t_chord,
         path_vector=_normalized(report.potentials),
         chord_vector=tree_vector(ws, t_chord),

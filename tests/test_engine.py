@@ -825,13 +825,14 @@ _UNTRACED_SAME = ("steps", "converged", "final_seminorm", "p_hat", "P", "max_bou
 
 def _assert_untraced_matches(ws, schedule, tol):
     """trace=False against the every-step rule and against trace=True: the same
-    outcome; the rows of every checkpoint, or all rows when a ledger reads them."""
+    outcome; the rows of every checkpoint, or all rows when a ledger reads them,
+    each with no min_entry."""
     expected = _every_step_run(ws, schedule, tol)
     assert _outcome(ws, schedule, tol) == expected
     untraced = _outcome(ws, schedule, tol, trace=False)
     assert {k: untraced[k] for k in _UNTRACED_SAME} == {k: expected[k] for k in _UNTRACED_SAME}
     if classify_schedule(schedule).m_spanning:
-        assert untraced["trace"] == expected["trace"]
+        assert untraced["trace"] == [row._replace(min_entry=None) for row in expected["trace"]]
         assert [row.t for row in untraced["trace"][:10]] == list(range(1, 11))
     else:
         steps = expected["steps"]
@@ -839,7 +840,7 @@ def _assert_untraced_matches(ws, schedule, tol):
         assert [row.t for row in untraced["trace"]] == checkpoints + (
             [steps] if steps % SPARSE_RECORD_EVERY else [])
         rows = {row.t: row for row in expected["trace"]}
-        assert all(rows[row.t] == row for row in untraced["trace"])
+        assert all(rows[row.t]._replace(min_entry=None) == row for row in untraced["trace"])
     return expected["steps"]
 
 
@@ -922,6 +923,19 @@ def test_untraced_zero_tol_never_replays(monkeypatch, balanced_float, triangle):
     assert report.steps == 3456 and not report.converged and not calls
     assert plain == {"advance": 3456, "block": 0, "levels": 0, "singles": 0}
     assert [row.t for row in report.trace] == list(range(100, 3401, 100)) + [3456]
+
+
+def test_only_traced_runs_read_min_entry(monkeypatch, balanced_float, triangle):
+    reads, min_entry = [], ProductTracker.min_entry
+    monkeypatch.setattr(ProductTracker, "min_entry",
+                        lambda self: reads.append(self.t) or min_entry(self))
+    schedule = Schedule.random(triangle, seed=5, steps=3456)
+    untraced = run(balanced_float, schedule, RunOptions(tol=0, trace=False))
+    assert reads == [] and {row.min_entry for row in untraced.trace} == {None}
+    traced = run(balanced_float, schedule, RunOptions(tol=0))
+    # one read per sparse checkpoint: every 100th step past the dense zone, and the last
+    assert reads == list(range(DENSE_RECORD_LIMIT + 100, 3401, 100)) + [3456]
+    assert all(row.min_entry > 0 for row in traced.trace)
 
 
 # -- plain-float rows ---------------------------------------------------------

@@ -85,6 +85,19 @@ def test_spanning_tree_covers_random_graphs():
             assert set(t.parent) == set(range(1, n + 1))
 
 
+@pytest.mark.parametrize("seed", [3, 17, 29])
+def test_bfs_tree_puts_no_end_of_a_non_tree_edge_above_the_other(seed):
+    # witness trees hang one end of a non-tree edge under the other: were it an
+    # ancestor, the moved parent pointer would close a loop
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        n = 3 + int(rng.integers(0, 38))
+        g = random_connected_graph(rng, n, extra=int(rng.integers(1, n)))
+        t = spanning_tree(g)
+        for i, j in g.edges - t.edges:
+            assert i not in t.path_to_root(j) and j not in t.path_to_root(i)
+
+
 def test_tree_path_endpoints():
     g = build_graph(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
     t = spanning_tree(g, 1)

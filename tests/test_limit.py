@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from hologossip import errors, limit, weights
+from hologossip import errors, graph, limit, weights
 from hologossip.acceptance import (
     random_connected_graph,
     random_rational_box,
@@ -141,7 +141,8 @@ def _count_calls(monkeypatch, counts, *homes):
 def test_witness_trees_random_validity(monkeypatch):
     counts = Counter()
     _count_calls(monkeypatch, counts, (weights, "TreePotentials"), (limit, "TreePotentials"),
-                 (limit, "spanning_tree_containing"))
+                 (graph, "spanning_tree_containing"), (graph, "spanning_tree_from_edges"),
+                 (graph, "bfs_parents"))
     for exact in (True, False):
         _check_random_witnesses(counts, exact)
 
@@ -161,12 +162,19 @@ def _check_random_witnesses(counts, exact):
         found += 1
         counts.clear()
         wt = nonholonomy_witness_trees(ws)
-        # one check pass, whose tree is tree 1, then one tree built and walked for tree 2
-        assert counts == {"TreePotentials": 2, "spanning_tree_containing": 1}
-        assert wt.path_tree.edges == report.potentials.t.edges
-        assert wt.path_tree.edges != wt.chord_tree.edges
-        assert wt.path_vector.entries == tree_vector(ws, wt.path_tree).entries
-        assert wt.chord_vector.entries == tree_vector(ws, wt.chord_tree).entries
+        # one check pass, whose tree is tree 1, then one potentials pass over tree 2,
+        # which is tree 1 with j hung under i: no tree is built
+        assert counts == {"TreePotentials": 2}
+        i, j = report.witness.cycle.nodes[0], report.witness.cycle.nodes[-2]
+        path, chord = wt.path_tree, wt.chord_tree
+        assert path.edges == report.potentials.t.edges
+        assert chord.parent[j] == i != path.parent[j]
+        assert {**chord.parent, j: path.parent[j]} == path.parent
+        assert path.edges ^ chord.edges == {graph.normalize_edge(j, path.parent[j]),
+                                            graph.normalize_edge(i, j)}
+        assert wt.path_vector.entries == tree_vector(ws, path).entries
+        rebuilt = graph.spanning_tree_from_edges(g, chord.edges)
+        assert wt.chord_vector.entries == tree_vector(ws, rebuilt).entries
         gap = max(
             abs(a - b) for a, b in zip(wt.path_vector.entries, wt.chord_vector.entries)
         )

@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "hologossip"
 #: (module, name) kept without a src caller, with the reason.
 ALLOWED = {
     ("graph", "fundamental_cycles"): "the perfbench tracer wraps it by name",
+    ("graph", "spanning_tree_containing"): "the perfbench tracer wraps it by name",
 }
 
 
